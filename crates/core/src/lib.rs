@@ -37,7 +37,6 @@ pub mod exhibit;
 pub mod funnel;
 pub mod greylist;
 pub mod impact;
-pub mod periods;
 pub mod perlist;
 pub mod preassign;
 pub mod quality;
@@ -53,7 +52,6 @@ pub use exhibit::{exhibits, render_markdown, render_tsv, write_exhibits, Exhibit
 pub use funnel::{funnel, Funnel};
 pub use greylist::{action_for, split_feed, Action, GreylistPolicy, SplitFeed};
 pub use impact::{impact, ImpactAnalysis, ImpactSummary};
-pub use periods::{compare_periods, PeriodComparison, PeriodSlice};
 pub use perlist::{census_per_list, dynamic_per_list, natted_per_list, PerListCounts, ReuseKind};
 pub use preassign::{assess_pool, clean_addresses, AddressAssessment};
 pub use quality::{render_scorecard, scorecard, ListScore};

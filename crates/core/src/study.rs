@@ -22,16 +22,17 @@
 //! health entry. [`Study::run`] is one schedule for every thread count and
 //! with or without a store: the blocklist dataset first (itself fanned out
 //! per feed), then the per-period crawls through `par::par_map`, each
-//! running the internally partitioned crawler (`crawl_sharded`) over an
-//! equal slice of the thread budget, then the sub-second Atlas and census
-//! phases. Results join in input order. Every component is seeded per task
-//! and the sharded crawl's partition layout is fixed in config, so the
-//! assembled `Study` is byte-identical for any thread count (with
-//! `AR_THREADS=1` every phase runs on the calling thread). An explicit
-//! thread request is honoured even above the host's real parallelism —
-//! oversubscription just time-slices, and determinism suites rely on
-//! genuinely spawning N workers on small hosts; only the ambient default is
-//! sized to the machine.
+//! running the partitioned crawler (`crawl_sharded`), whose hourly driver
+//! steps its partitions through `par::par_map` too, over an equal slice of
+//! the thread budget, then the sub-second Atlas and census phases.
+//! `par::par_map` is the only thread fan-out. Results join in input order.
+//! Every component is seeded per task and the crawl's partition layout is
+//! fixed in config, so the assembled `Study` is byte-identical for any
+//! thread count (with `AR_THREADS=1` every phase runs on the calling
+//! thread). An explicit thread request is honoured even above the host's
+//! real parallelism — oversubscription just time-slices, and determinism
+//! suites rely on genuinely spawning N workers on small hosts; only the
+//! ambient default is sized to the machine.
 
 use ar_atlas::{
     apply_atlas_gaps, detect_dynamic, generate_fleet, ConnectionLog, DynamicDetection,
@@ -798,12 +799,13 @@ fn blocklists_task(
     (dataset.listings, status)
 }
 
-/// One period's DHT crawl. Fault-free crawls run the internally
-/// partitioned engine ([`crawl_sharded`]) over `workers` threads — the
-/// shard layout is fixed in [`CrawlConfig`], so the artifacts are
-/// byte-identical at every worker count. Network faults wrap a serial
-/// fabric in a [`FaultyTransport`]; scheduled crawler outages are survived
-/// by checkpointing at each crash and resuming after its downtime.
+/// One period's DHT crawl. Fault-free crawls run `CrawlConfig::shards`
+/// partitions ([`crawl_sharded`]) over `workers` threads — the partition
+/// layout is fixed in [`CrawlConfig`], so the artifacts are byte-identical
+/// at every worker count. Faulted crawls run one partition: network faults
+/// wrap a [`SimNetwork`] in a [`FaultyTransport`], and scheduled crawler
+/// outages are survived by checkpointing at each crash and resuming after
+/// its downtime.
 #[allow(clippy::too_many_arguments)]
 fn crawl_period(
     universe: &Universe,
@@ -833,13 +835,8 @@ fn crawl_period(
         _ => {
             // Fault-free (including zero-intensity fault specs):
             // the partitioned crawl.
-            let report = if crawl_config.shards > 1 {
-                let fabric = ShardedSimNetwork::new(universe, plan, SimParams::default());
-                crawl_sharded(fabric.shards(crawl_config.shards), &crawl_config, workers)
-            } else {
-                let mut net = SimNetwork::new(universe, plan, SimParams::default());
-                crawl(&mut net, &crawl_config)
-            };
+            let fabric = ShardedSimNetwork::new(universe, plan, SimParams::default());
+            let report = crawl_sharded(fabric.shards(crawl_config.shards), &crawl_config, workers);
             report.record_obs(obs, &phase);
             if report.stats.ping_retries > 0 {
                 obs.event(
@@ -854,8 +851,8 @@ fn crawl_period(
         }
     };
 
-    // Faulted crawls keep the serial engine: checkpoint/resume and
-    // fault transports are defined over one sequential timeline.
+    // Faulted crawls run one partition: checkpoint/resume and fault
+    // transports are defined over one sequential timeline.
     let mut net = SimNetwork::new(universe, plan, SimParams::default());
     let mut transport = FaultyTransport::new(&mut net, fp, |ip| universe.asn_of(ip));
     let mut survived = 0usize;

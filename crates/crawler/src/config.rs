@@ -131,16 +131,17 @@ pub struct CrawlConfig {
     /// full-volume crawls would otherwise hold millions of records).
     pub log_head: usize,
     pub log_tail: usize,
-    /// Logical partitions of the sharded crawl (`crawl_sharded`): the
-    /// address space is split by /24 prefix into this many independent
-    /// crawl partitions with their own frontier, RNG stream and buffers.
-    /// **Fixed regardless of worker threads** — the shard layout, not the
-    /// thread count, determines the artifacts, which is what makes them
-    /// byte-identical at any parallelism. The serial [`crate::crawl`]
-    /// ignores this field.
+    /// Logical partitions of the study's crawls: the address space is
+    /// split by /24 prefix into this many independent crawl partitions
+    /// with their own frontier, RNG stream and buffers. **Fixed regardless
+    /// of worker threads** — the partition layout, not the thread count,
+    /// determines the artifacts, which is what makes them byte-identical
+    /// at any parallelism. [`crate::crawl_sharded`] takes one partition
+    /// per transport it is given, so this is the count its callers build;
+    /// [`crate::crawl`] and the checkpointed crawls are one partition.
     pub shards: usize,
-    /// Bound on cross-shard hand-offs queued per (source shard,
-    /// destination shard, round); overflow is counted in
+    /// Bound on cross-partition hand-offs queued per (source partition,
+    /// destination partition, hour); overflow is counted in
     /// `CrawlStats::handoffs_dropped` rather than growing without limit.
     pub handoff_cap: usize,
 }

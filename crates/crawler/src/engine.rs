@@ -16,7 +16,7 @@
 
 use crate::config::CrawlConfig;
 use crate::log::{Direction, MessageKind, MessageLog, MessageRecord};
-use crate::observations::{IpClass, IpObservation, ObservationMap, Sighting};
+use crate::observations::{ObservationMap, Sighting};
 use ar_dht::{KrpcTransport, Message, MessageBody, NodeId, Query};
 use ar_simnet::time::{SimDuration, SimTime, TimeWindow};
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
@@ -42,8 +42,8 @@ pub struct CrawlStats {
     /// bt_pings that drew a reply (any attempt); `pings_sent` minus this
     /// is the timed-out count.
     pub ping_replies: u64,
-    /// Cross-shard discoveries routed through the hand-off queues of the
-    /// partitioned crawl (0 for the serial engine).
+    /// Cross-partition discoveries routed through the hand-off queues (0
+    /// for a one-partition crawl).
     pub handoffs_routed: u64,
     /// Hand-offs discarded because a bounded queue was full.
     pub handoffs_dropped: u64,
@@ -206,10 +206,6 @@ impl CrawlReport {
             .map(|(ip, _)| *ip)
     }
 
-    pub fn class_of(&self, ip: Ipv4Addr) -> Option<IpClass> {
-        self.observations.get(&ip).map(IpObservation::class)
-    }
-
     /// Publish this crawl's counters into the metrics registry under
     /// `crawler.*`. Counters add (study totals accumulate across periods);
     /// `phase` labels per-period gauges. Pure observation — reading the
@@ -255,23 +251,8 @@ fn version_bytes(msg: &Message) -> Option<[u8; 4]> {
         .and_then(|v| <[u8; 4]>::try_from(v.as_slice()).ok())
 }
 
-/// Run a full crawl of `net` under `config`.
-pub fn crawl<N: KrpcTransport>(net: &mut N, config: &CrawlConfig) -> CrawlReport {
-    let mut engine = Engine::new(config);
-    engine.bootstrap(net);
-    let mut next_ping_round = config.window.start;
-    engine.run_range(
-        net,
-        config.window.start,
-        config.window.end,
-        &mut next_ping_round,
-    );
-    engine.finish()
-}
-
 /// Serialised crawl state: everything needed to continue a long crawl in
-/// a later process. (The bounded message log is not carried over; a
-/// resumed crawl's log covers only its own segment.)
+/// a later process, message log included.
 #[derive(Debug, Clone)]
 pub struct CrawlCheckpoint {
     pub window: TimeWindow,
@@ -288,6 +269,7 @@ pub struct CrawlCheckpoint {
     stats: CrawlStats,
     tx_counter: u64,
     effective_rate: f64,
+    log: MessageLog,
 }
 
 ar_simnet::codec_struct!(CrawlCheckpoint {
@@ -302,23 +284,9 @@ ar_simnet::codec_struct!(CrawlCheckpoint {
     node_id_digests,
     stats,
     tx_counter,
-    effective_rate
+    effective_rate,
+    log
 });
-
-/// Crawl from the window start until `stop`, returning a resumable
-/// checkpoint instead of a report.
-pub fn crawl_until<N: KrpcTransport>(
-    net: &mut N,
-    config: &CrawlConfig,
-    stop: SimTime,
-) -> CrawlCheckpoint {
-    let stop = stop.min(config.window.end);
-    let mut engine = Engine::new(config);
-    engine.bootstrap(net);
-    let mut next_ping_round = config.window.start;
-    let resume_at = engine.run_range(net, config.window.start, stop, &mut next_ping_round);
-    engine.into_checkpoint(resume_at, next_ping_round)
-}
 
 impl CrawlCheckpoint {
     /// Push the resume point forward by `downtime` — the crawler host was
@@ -328,36 +296,6 @@ impl CrawlCheckpoint {
         self.resume_at = (self.resume_at + downtime).min(self.window.end);
         self.next_ping_round = self.next_ping_round.max(self.resume_at);
     }
-}
-
-/// Resume a checkpointed crawl and run it up to `stop`, yielding another
-/// checkpoint. Used when several outages hit one crawl: each middle
-/// segment runs checkpoint-to-checkpoint, and [`resume`] finishes the last.
-pub fn resume_until<N: KrpcTransport>(
-    net: &mut N,
-    config: &CrawlConfig,
-    checkpoint: CrawlCheckpoint,
-    stop: SimTime,
-) -> CrawlCheckpoint {
-    let stop = stop.min(config.window.end);
-    let mut next_ping_round = checkpoint.next_ping_round;
-    let resume_at = checkpoint.resume_at;
-    let mut engine = Engine::from_checkpoint(config, checkpoint);
-    let resume_at = engine.run_range(net, resume_at, stop, &mut next_ping_round);
-    engine.into_checkpoint(resume_at, next_ping_round)
-}
-
-/// Resume a checkpointed crawl and run it to the window end.
-pub fn resume<N: KrpcTransport>(
-    net: &mut N,
-    config: &CrawlConfig,
-    checkpoint: CrawlCheckpoint,
-) -> CrawlReport {
-    let mut next_ping_round = checkpoint.next_ping_round;
-    let resume_at = checkpoint.resume_at;
-    let mut engine = Engine::from_checkpoint(config, checkpoint);
-    engine.run_range(net, resume_at, config.window.end, &mut next_ping_round);
-    engine.finish()
 }
 
 /// Owner shard of an IP under a `count`-way partition: FNV-1a over its
@@ -383,18 +321,18 @@ pub(crate) struct Handoff {
     pub(crate) at: SimTime,
 }
 
-/// Per-shard partition state of a partitioned crawl.
-struct ShardCtx {
-    id: usize,
-    count: usize,
-    /// Outgoing hand-offs accumulated this round, one bounded queue per
-    /// destination shard; the driver drains them at the round's sync point.
-    outbox: Vec<Vec<Handoff>>,
-    cap: usize,
-}
-
+/// One partition of a `count`-way crawl. The partition owns the IPs with
+/// `shard_of(ip, count) == id`: only those enter its frontier,
+/// observations or candidate set; everything else it discovers goes to
+/// the owner through the hand-off outbox. A serial crawl is partition 0
+/// of 1, which owns every address and never hands anything off.
 pub(crate) struct Engine<'c> {
     config: &'c CrawlConfig,
+    id: usize,
+    count: usize,
+    /// Outgoing hand-offs accumulated this hour, one bounded queue per
+    /// destination partition; the driver routes them between hours.
+    outbox: Vec<Vec<Handoff>>,
     observations: ObservationMap,
     /// Endpoints waiting for their first get_nodes, in discovery order.
     frontier: VecDeque<SocketAddrV4>,
@@ -415,16 +353,17 @@ pub(crate) struct Engine<'c> {
     /// Current discovery rate (messages/second/vantage); equals the
     /// configured rate unless `adaptive_rate` has backed it off.
     effective_rate: f64,
-    /// `Some` when this engine is one partition of a sharded crawl;
-    /// `None` keeps every serial code path bit-identical to the
-    /// pre-sharding engine.
-    shard: Option<ShardCtx>,
+    /// When the next verification round is due.
+    next_ping_round: SimTime,
 }
 
 impl<'c> Engine<'c> {
-    fn new(config: &'c CrawlConfig) -> Self {
+    pub(crate) fn new(config: &'c CrawlConfig, id: usize, count: usize) -> Self {
         Engine {
             config,
+            id,
+            count,
+            outbox: vec![Vec::new(); count],
             observations: ObservationMap::default(),
             frontier: VecDeque::new(),
             enqueued: HashSet::new(),
@@ -433,49 +372,24 @@ impl<'c> Engine<'c> {
             node_id_digests: HashSet::new(),
             stats: CrawlStats::default(),
             self_id: NodeId::from_ip_and_nonce(Ipv4Addr::new(127, 0, 0, 1), 0xC4A3),
-            tx_counter: 0,
+            // Disjoint transaction-id ranges keep merged message streams
+            // collision-free and independent of scheduling.
+            tx_counter: (id as u64) << 24,
             log: MessageLog::new(config.log_head, config.log_tail),
             effective_rate: f64::from(config.rate_per_sec),
-            shard: None,
+            next_ping_round: config.window.start,
         }
     }
 
-    /// One partition of a `count`-way sharded crawl. The shard owns the
-    /// IPs with `shard_of(ip, count) == id`: only those enter its
-    /// frontier, observations or candidate set; everything else it
-    /// discovers is routed to the owner through the hand-off outbox.
-    pub(crate) fn new_shard(config: &'c CrawlConfig, id: usize, count: usize) -> Self {
-        let mut engine = Engine::new(config);
-        // Disjoint transaction-id ranges keep merged message streams
-        // collision-free and independent of scheduling.
-        engine.tx_counter = (id as u64) << 24;
-        engine.shard = Some(ShardCtx {
-            id,
-            count,
-            outbox: vec![Vec::new(); count],
-            cap: config.handoff_cap,
-        });
-        engine
-    }
-
-    /// Does this engine's partition own `ip`? Serial engines own everything.
+    /// Does this engine's partition own `ip`?
     fn owns(&self, ip: Ipv4Addr) -> bool {
-        match self.shard.as_ref() {
-            Some(s) => shard_of(ip, s.count) == s.id,
-            None => true,
-        }
+        shard_of(ip, self.count) == self.id
     }
 
-    /// Queue a discovery for its owner shard (no-op when serial — callers
-    /// only route endpoints [`Self::owns`] rejected, which cannot happen
-    /// without a shard context).
+    /// Queue a discovery for its owner partition.
     fn route_handoff(&mut self, ep: SocketAddrV4, node_id: Option<NodeId>, at: SimTime) {
-        let Some(shard) = self.shard.as_mut() else {
-            return;
-        };
-        let dest = shard_of(*ep.ip(), shard.count);
-        let queue = &mut shard.outbox[dest];
-        if queue.len() >= shard.cap {
+        let queue = &mut self.outbox[shard_of(*ep.ip(), self.count)];
+        if queue.len() >= self.config.handoff_cap {
             self.stats.handoffs_dropped += 1;
         } else {
             queue.push(Handoff { ep, node_id, at });
@@ -483,42 +397,33 @@ impl<'c> Engine<'c> {
         }
     }
 
-    /// Hand this round's outbox to the driver, leaving empty queues behind.
+    /// Hand this hour's outbox to the driver, leaving empty queues behind.
     pub(crate) fn take_outbox(&mut self) -> Vec<Vec<Handoff>> {
-        match self.shard.as_mut() {
-            Some(shard) => {
-                let count = shard.count;
-                std::mem::replace(&mut shard.outbox, vec![Vec::new(); count])
-            }
-            None => Vec::new(),
-        }
+        std::mem::replace(&mut self.outbox, vec![Vec::new(); self.count])
     }
 
-    /// Apply hand-offs received at a sync point. Batches are sorted by
-    /// source shard id before application — combined with each source's
-    /// canonical send order this makes the drain order (and therefore the
-    /// artifacts) independent of which thread flushed first.
-    pub(crate) fn apply_inbox(&mut self, mut batches: Vec<(usize, Vec<Handoff>)>) {
-        batches.sort_by_key(|&(src, _)| src);
-        for (_, queue) in batches {
-            for handoff in queue {
-                if let Some(id) = handoff.node_id {
-                    self.record(
-                        *handoff.ep.ip(),
-                        handoff.ep.port(),
-                        id,
-                        handoff.at,
-                        Sighting::Advertised,
-                    );
-                }
-                self.enqueue(handoff.ep);
+    /// Apply the hand-offs routed to this partition. The driver delivers
+    /// them in source-partition order; with each source's canonical send
+    /// order, that makes the application order (and therefore the
+    /// artifacts) independent of which thread stepped which partition.
+    pub(crate) fn apply_inbox(&mut self, inbox: Vec<Handoff>) {
+        for handoff in inbox {
+            if let Some(id) = handoff.node_id {
+                self.record(
+                    *handoff.ep.ip(),
+                    handoff.ep.port(),
+                    id,
+                    handoff.at,
+                    Sighting::Advertised,
+                );
             }
+            self.enqueue(handoff.ep);
         }
     }
 
     /// Seed the frontier. Each vantage point gets its own bootstrap draw,
     /// widening the initial frontier the way geographically separate
-    /// crawlers would. A shard keeps only its own partition of the draw
+    /// crawlers would. A partition keeps only its own share of the draw
     /// and routes the rest to the owners.
     pub(crate) fn bootstrap<N: KrpcTransport>(&mut self, net: &mut N) {
         let window = self.config.window;
@@ -535,15 +440,10 @@ impl<'c> Engine<'c> {
     }
 
     /// One crawl hour: a verification round when due, then discovery and
-    /// recrawl scheduling. The unit the sharded driver steps all
-    /// partitions through in lockstep.
-    pub(crate) fn step_hour<N: KrpcTransport>(
-        &mut self,
-        net: &mut N,
-        now: SimTime,
-        next_ping_round: &mut SimTime,
-    ) {
-        if !self.config.disable_ping_verification && now >= *next_ping_round {
+    /// recrawl scheduling. The unit the driver steps every partition
+    /// through in lockstep.
+    pub(crate) fn step_hour<N: KrpcTransport>(&mut self, net: &mut N, now: SimTime) {
+        if !self.config.disable_ping_verification && now >= self.next_ping_round {
             self.ping_round(net, now);
             // Under adaptive backoff the verification cadence stretches
             // with the same factor — pings are the bulk of the traffic
@@ -554,50 +454,13 @@ impl<'c> Engine<'c> {
                 1.0
             };
             let gap = (self.config.ping_round_every.as_secs() as f64 * backoff) as u64;
-            *next_ping_round = now + SimDuration::from_secs(gap);
+            self.next_ping_round = now + SimDuration::from_secs(gap);
         }
         self.discover(net, now);
         self.schedule_recrawls(now);
     }
 
-    /// Advance the crawl clock from `from` to `to` in hourly steps and
-    /// return the time of the first step not taken, so that a resumed
-    /// crawl stays on the same hourly grid.
-    fn run_range<N: KrpcTransport>(
-        &mut self,
-        net: &mut N,
-        from: SimTime,
-        to: SimTime,
-        next_ping_round: &mut SimTime,
-    ) -> SimTime {
-        let hour = SimDuration::from_hours(1);
-        let mut now = from;
-        while now < to {
-            self.step_hour(net, now, next_ping_round);
-            now += hour;
-        }
-        now
-    }
-
-    fn finish(mut self) -> CrawlReport {
-        self.stats.unique_ips = self.observations.len() as u64;
-        self.stats.unique_node_ids = self.node_id_digests.len() as u64;
-        self.stats.multiport_ips = self.multiport.len() as u64;
-        self.stats.natted_ips = self
-            .observations
-            .values()
-            .filter(|o| o.nat.is_some())
-            .count() as u64;
-
-        CrawlReport {
-            window: self.config.window,
-            stats: self.stats,
-            observations: self.observations,
-            log: self.log,
-        }
-    }
-
-    fn into_checkpoint(self, resume_at: SimTime, next_ping_round: SimTime) -> CrawlCheckpoint {
+    pub(crate) fn into_checkpoint(self, resume_at: SimTime) -> CrawlCheckpoint {
         // Sets and maps are serialised as sorted vectors so checkpoints are
         // byte-stable across runs.
         let mut enqueued: Vec<SocketAddrV4> = self.enqueued.into_iter().collect();
@@ -607,7 +470,7 @@ impl<'c> Engine<'c> {
         CrawlCheckpoint {
             window: self.config.window,
             resume_at,
-            next_ping_round,
+            next_ping_round: self.next_ping_round,
             observations: self.observations,
             frontier: self.frontier.into_iter().collect(),
             enqueued,
@@ -617,12 +480,14 @@ impl<'c> Engine<'c> {
             stats: self.stats,
             tx_counter: self.tx_counter,
             effective_rate: self.effective_rate,
+            log: self.log,
         }
     }
 
-    fn from_checkpoint(config: &'c CrawlConfig, cp: CrawlCheckpoint) -> Self {
+    /// Partition 0 of 1 restored from `cp`: checkpointed crawls run one
+    /// partition.
+    pub(crate) fn from_checkpoint(config: &'c CrawlConfig, cp: CrawlCheckpoint) -> Self {
         Engine {
-            config,
             observations: cp.observations,
             frontier: cp.frontier.into(),
             enqueued: cp.enqueued.into_iter().collect(),
@@ -630,29 +495,33 @@ impl<'c> Engine<'c> {
             multiport: cp.multiport.into_iter().collect(),
             node_id_digests: cp.node_id_digests.into_iter().collect(),
             stats: cp.stats,
-            self_id: NodeId::from_ip_and_nonce(Ipv4Addr::new(127, 0, 0, 1), 0xC4A3),
             tx_counter: cp.tx_counter,
-            log: MessageLog::new(config.log_head, config.log_tail),
+            log: cp.log,
             effective_rate: cp.effective_rate,
-            shard: None,
+            next_ping_round: cp.next_ping_round,
+            ..Engine::new(config, 0, 1)
         }
     }
 
-    /// Merge finished shard engines into the canonical crawl report.
+    /// Merge a crawl's finished partitions into the canonical report.
     ///
-    /// The merge order is fixed: shard id, then each shard's own canonical
-    /// event order. Observations are disjoint across shards by
-    /// construction — every sighting of an IP is recorded at its owner —
+    /// The merge order is fixed: partition id, then each partition's own
+    /// canonical event order. Observations are disjoint across partitions
+    /// by construction — every sighting of an IP is recorded at its owner —
     /// so extending the sorted map is a pure union; node-id digests can
     /// overlap (IP churn moves a node id across partitions over time) and
-    /// are re-deduplicated here.
-    pub(crate) fn finish_merged(config: &CrawlConfig, engines: Vec<Engine<'_>>) -> CrawlReport {
+    /// are re-deduplicated here. With one partition the merge re-derives
+    /// that partition's own totals and re-emits its log unchanged.
+    pub(crate) fn finish_merged<'e>(
+        config: &CrawlConfig,
+        engines: impl IntoIterator<Item = Engine<'e>>,
+    ) -> CrawlReport {
         let mut observations = ObservationMap::default();
         let mut multiport: BTreeSet<Ipv4Addr> = BTreeSet::new();
         let mut digests: HashSet<u64> = HashSet::new();
         let mut stats = CrawlStats::default();
         let mut rounds = 0u64;
-        let mut logs = Vec::with_capacity(engines.len());
+        let mut logs = Vec::new();
         for engine in engines {
             observations.extend(engine.observations);
             multiport.extend(engine.multiport);
@@ -661,8 +530,8 @@ impl<'c> Engine<'c> {
             stats += &engine.stats;
             logs.push(engine.log);
         }
-        // Shards tick verification rounds in lockstep: the campaign ran
-        // max-over-shards rounds, not the per-shard sum.
+        // Partitions tick verification rounds in lockstep: the campaign
+        // ran max-over-partitions rounds, not the per-partition sum.
         stats.ping_rounds = rounds;
         stats.unique_ips = observations.len() as u64;
         stats.unique_node_ids = digests.len() as u64;
@@ -730,15 +599,10 @@ impl<'c> Engine<'c> {
     fn discover<N: KrpcTransport>(&mut self, net: &mut N, hour_start: SimTime) {
         let total_budget = ((self.effective_rate * 3600.0) as u64).max(60)
             * u64::from(self.config.vantage_points.max(1));
-        // A shard spends its slice of the global politeness budget, so the
-        // partitioned crawl's aggregate send rate matches the serial one.
-        let budget = match &self.shard {
-            Some(shard) => {
-                let count = shard.count as u64;
-                total_budget / count + u64::from((shard.id as u64) < total_budget % count)
-            }
-            None => total_budget,
-        };
+        // A partition spends its slice of the global politeness budget, so
+        // the aggregate send rate is the same at every partition count.
+        let count = self.count as u64;
+        let budget = total_budget / count + u64::from((self.id as u64) < total_budget % count);
         let sent_before = self.stats.get_nodes_sent + self.stats.pings_sent;
         let replies_before = self.stats.replies_received;
         let mut sent: u64 = 0;

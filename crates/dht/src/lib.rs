@@ -35,11 +35,7 @@
 //! assert_eq!(Message::decode(&ping.encode()).unwrap(), ping);
 //! ```
 
-pub mod announce;
-pub mod bep42;
-pub mod client;
 pub mod faults;
-pub mod lookup;
 pub mod node_id;
 pub mod population;
 pub mod routing;
@@ -47,11 +43,7 @@ pub mod sim;
 pub mod udp;
 pub mod wire;
 
-pub use announce::{announce_to_swarm, AnnounceResult, AnnounceTransport, GetPeersReply};
-pub use bep42::{crc32c, is_valid as bep42_valid, node_id_for_ip};
-pub use client::{random_id_in_bucket, DhtClient};
 pub use faults::{FaultStats, FaultyTransport};
-pub use lookup::{iterative_find_node, FindNodeTransport, LookupConfig, LookupResult};
 pub use node_id::{Distance, NodeId};
 pub use population::{DhtPopulation, NodeSession, PopulationParams};
 pub use routing::{Contact, InsertOutcome, RoutingTable, K};

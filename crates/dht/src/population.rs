@@ -113,10 +113,6 @@ impl<'u> DhtPopulation<'u> {
         self.universe
     }
 
-    pub fn num_bt_hosts(&self) -> usize {
-        self.bt_hosts.len()
-    }
-
     pub fn bt_hosts(&self) -> &[HostId] {
         &self.bt_hosts
     }

@@ -10,7 +10,7 @@
 //! spirit of smoltcp's `--drop-chance`-style knobs.
 
 use crate::population::{DhtPopulation, PopulationParams};
-use crate::wire::{KrpcError, Message, MessageBody, Query, Response};
+use crate::wire::{Message, MessageBody, Query, Response};
 use ar_simnet::alloc::AllocationPlan;
 use ar_simnet::rng::{Rng, Seed, SmallRng};
 use ar_simnet::time::{SimDuration, SimTime};
@@ -215,15 +215,6 @@ impl<'u> SimNetwork<'u> {
         }
     }
 
-    pub fn with_population(pop: DhtPopulation<'u>, seed: Seed, params: SimParams) -> Self {
-        SimNetwork {
-            pop,
-            params,
-            rng: seed.fork("simnet").rng(),
-            stats: NetStats::default(),
-        }
-    }
-
     pub fn population(&self) -> &DhtPopulation<'u> {
         &self.pop
     }
@@ -246,19 +237,6 @@ impl<'u> SimNetwork<'u> {
     /// (stand-in for `router.bittorrent.com`).
     pub fn bootstrap(&mut self, now: SimTime, n: usize) -> Vec<SocketAddrV4> {
         fabric_bootstrap(&self.pop, &mut self.rng, now, n)
-    }
-
-    /// Reference error reply for a malformed datagram (used by protocol
-    /// tests; the simulated peers themselves never receive malformed input).
-    pub fn protocol_error(transaction: &[u8]) -> Message {
-        Message {
-            transaction: transaction.to_vec(),
-            version: None,
-            body: MessageBody::Error(KrpcError {
-                code: KrpcError::PROTOCOL,
-                message: "Protocol Error".into(),
-            }),
-        }
     }
 }
 

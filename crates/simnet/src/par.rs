@@ -11,7 +11,7 @@
 //! `AR_THREADS` environment variable, then
 //! [`std::thread::available_parallelism`].
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Environment variable overriding the default worker-thread count.
 pub const THREADS_ENV: &str = "AR_THREADS";
@@ -49,45 +49,58 @@ pub fn resolve(configured: Option<usize>) -> usize {
 /// Map `f` over `items` on up to `threads` scoped worker threads and return
 /// the results **in input order**.
 ///
-/// Work is handed out through an atomic cursor, so threads that finish a
-/// cheap item immediately pick up the next one (no static chunking
-/// imbalance). Each result is tagged with its input index and the collected
-/// vector is re-sorted by that index before returning; combined with
-/// per-item seeding this makes the output independent of the schedule.
+/// `items` may be any iterator of `Send` values, so a fan-out over
+/// `v.iter_mut()` (each worker mutating its own elements in place) goes
+/// through the same pool as a read-only one over `&v`.
+///
+/// Work is handed out one item at a time from a shared queue, so threads
+/// that finish a cheap item immediately pick up the next one (no static
+/// chunking imbalance). Each result is tagged with its input index and the
+/// collected vector is re-sorted by that index before returning; combined
+/// with per-item seeding this makes the output independent of the
+/// schedule.
 ///
 /// With `threads <= 1` or fewer than two items the map runs inline on the
 /// caller's thread — the serial and parallel paths share `f` itself, so
-/// equivalence is by construction.
-pub fn par_map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
+/// equivalence is by construction. A panic in `f` is re-raised on the
+/// caller with its original payload.
+pub fn par_map<I, R, F>(threads: usize, items: I, f: F) -> Vec<R>
 where
-    T: Sync,
+    I: IntoIterator,
+    I::Item: Send,
     R: Send,
-    F: Fn(&T) -> R + Sync,
+    F: Fn(I::Item) -> R + Sync,
 {
-    if threads <= 1 || items.len() < 2 {
-        return items.iter().map(&f).collect();
+    let items: Vec<I::Item> = items.into_iter().collect();
+    let len = items.len();
+    if threads <= 1 || len < 2 {
+        return items.into_iter().map(f).collect();
     }
-    let workers = threads.min(items.len());
-    let cursor = AtomicUsize::new(0);
-    let mut tagged: Vec<(usize, R)> = Vec::with_capacity(items.len());
+    let workers = threads.min(len);
+    // `next()` on a vector iterator cannot panic, so a poisoned lock
+    // still guards a consistent queue.
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let mut tagged: Vec<(usize, R)> = Vec::with_capacity(len);
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
         for _ in 0..workers {
             handles.push(scope.spawn(|| {
                 let mut local: Vec<(usize, R)> = Vec::new();
                 loop {
-                    let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                    if idx >= items.len() {
+                    let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+                    let Some((idx, item)) = next else {
                         break;
-                    }
-                    local.push((idx, f(&items[idx])));
+                    };
+                    local.push((idx, f(item)));
                 }
                 local
             }));
         }
         for handle in handles {
-            // A worker panic propagates: unwrap re-raises it on the caller.
-            tagged.extend(handle.join().unwrap());
+            match handle.join() {
+                Ok(local) => tagged.extend(local),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
         }
     });
     tagged.sort_unstable_by_key(|&(idx, _)| idx);
@@ -127,6 +140,39 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         assert!(par_map(4, &empty, |&x| x).is_empty());
         assert_eq!(par_map(4, &[7u32], |&x| x * 2), vec![14]);
+    }
+
+    #[test]
+    fn mutates_through_iter_mut_in_input_order() {
+        for threads in [1, 4] {
+            let mut items: Vec<u64> = (0..33).collect();
+            let old = par_map(threads, items.iter_mut(), |x| {
+                let before = *x;
+                *x = before * 10 + 1;
+                before
+            });
+            assert_eq!(old, (0..33).collect::<Vec<u64>>(), "{threads} threads");
+            let expected: Vec<u64> = (0..33).map(|x| x * 10 + 1).collect();
+            assert_eq!(items, expected, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn a_worker_panic_re_raises_on_the_caller() {
+        let items: Vec<u32> = (0..16).collect();
+        let caught = std::panic::catch_unwind(|| {
+            par_map(4, &items, |&x| {
+                if x == 11 {
+                    panic!("item {x} failed");
+                }
+                x
+            })
+        });
+        let payload = caught.expect_err("the panic must reach the caller");
+        let message = payload
+            .downcast_ref::<String>()
+            .expect("panic! with format arguments carries a String");
+        assert_eq!(message, "item 11 failed");
     }
 
     #[test]

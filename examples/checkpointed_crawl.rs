@@ -63,6 +63,7 @@ fn main() {
     );
     assert_eq!(full.stats.unique_ips, resumed.stats.unique_ips);
     assert_eq!(full.stats.natted_ips, resumed.stats.natted_ips);
+    assert_eq!(codec::to_bytes(&full), codec::to_bytes(&resumed));
     println!("\nresumed crawl is bit-identical to the uninterrupted one ✓");
 
     // The message log (paper §3.1): bounded retention, exact counters.

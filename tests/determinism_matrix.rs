@@ -163,9 +163,10 @@ fn parallel_study_equals_serial_study() {
 fn sharded_crawl_is_worker_count_invariant() {
     // The partitioned crawler's contract: the fixed logical shard layout —
     // not the worker-thread count — determines the artifacts. The same
-    // 8-shard crawl run on {1, 2, 3, 8} workers (3 leaves a ragged final
-    // chunk) and repeated at one count must serialize byte-identically;
-    // a different universe seed must not.
+    // 8-shard crawl run on {1, 2, 3, 8, 16} workers (3 does not divide the
+    // partitions evenly; 16 is more workers than partitions) and repeated
+    // at one count must serialize byte-identically; a different universe
+    // seed must not.
     use ar_crawler::{crawl_sharded, CrawlConfig};
     use ar_dht::{ShardedSimNetwork, SimParams};
 
@@ -188,7 +189,7 @@ fn sharded_crawl_is_worker_count_invariant() {
         "crawl must actually verify candidates"
     );
     assert!(stats.unique_ips > 0, "crawl must discover endpoints");
-    for workers in [1, 2, 3, 8] {
+    for workers in [1, 2, 3, 8, 16] {
         let (again, _) = run(42, workers);
         assert_eq!(
             baseline, again,

@@ -88,6 +88,14 @@ fn nonzero_intensity_is_survived_with_degraded_annotations() {
     assert_eq!(study.crawls.len(), study.config.periods.len());
     for report in &study.crawls {
         assert!(report.stats.pings_sent > 0, "crawl produced no traffic");
+        // The message log survives every checkpoint: its exact counters
+        // cover the whole crawl, not just the segment after the last
+        // resume.
+        assert_eq!(
+            report.log.sent,
+            report.stats.get_nodes_sent + report.stats.pings_sent
+        );
+        assert_eq!(report.log.received, report.stats.replies_received);
     }
 
     // Degradation hurts recall, never precision: everything still detected
