@@ -21,12 +21,13 @@ use ar_simnet::time::{SimDuration, SimTime};
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
+/// Kneedle sensitivity: the paper uses the offline default.
+const KNEE_SENSITIVITY: f64 = 1.0;
+
 /// Pipeline knobs. Defaults reproduce the paper; the alternates feed the
 /// ablation experiments.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
-    /// Kneedle sensitivity (paper uses the offline default).
-    pub knee_sensitivity: f64,
     /// Override the knee with a fixed allocation-count threshold
     /// (`ablation_knee` sweeps this).
     pub knee_override: Option<u32>,
@@ -46,7 +47,6 @@ pub struct PipelineConfig {
 impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
-            knee_sensitivity: 1.0,
             knee_override: None,
             max_mean_interchange: Some(SimDuration::from_days(1)),
             expand_to_prefix: true,
@@ -208,9 +208,9 @@ pub fn detect_dynamic(
     // Knee on the same-AS population's allocation counts (the paper's
     // Figure 2 curve).
     let counts: Vec<u32> = same_as.iter().map(|s| s.allocation_count).collect();
-    let knee = config.knee_override.unwrap_or_else(|| {
-        kneedle::allocation_count_knee(&counts, config.knee_sensitivity).unwrap_or(8)
-    });
+    let knee = config
+        .knee_override
+        .unwrap_or_else(|| kneedle::allocation_count_knee(&counts, KNEE_SENSITIVITY).unwrap_or(8));
 
     let frequent: Vec<&ProbeSummary> = same_as
         .iter()

@@ -24,8 +24,8 @@
 //!   in-process run report and the derived `frames_rejected` sum.
 //!
 //! Writes `BENCH_chaos.json` at the repository root (hand-rendered JSON).
-//! Flags: `--seed N` (default 2020), `--sessions N` (default 60),
-//! `--intensity X` (restrict the sweep to one intensity).
+//! It takes no arguments: the seed (2020), the session count (60) and the
+//! full sweep are the ones the committed golden pins.
 
 use address_reuse::{reputation_snapshot, GreylistPolicy, Study, StudyConfig};
 use ar_faults::{ClientMisbehavior, ServeFaultPlan, SnapshotFault};
@@ -41,6 +41,10 @@ use std::time::{Duration, Instant};
 
 const INTENSITIES: [f64; 4] = [0.0, 0.25, 0.5, 1.0];
 const SHARD_COUNTS: [usize; 2] = [1, 2];
+/// The study and soak seed the committed `BENCH_chaos.json` pins.
+const SEED: Seed = Seed(2020);
+/// Client sessions per sweep point.
+const SESSIONS: u64 = 60;
 /// Sessions between consecutive hot-swap offers.
 const SWAP_EVERY: u64 = 5;
 
@@ -86,7 +90,6 @@ fn expected_checksum(study: &Study, generation: u64, ips: &[u32]) -> u64 {
 struct Point {
     intensity: f64,
     shards: usize,
-    sessions: u64,
     honest: u64,
     hostile: u64,
     shed_after_retries: u64,
@@ -122,7 +125,7 @@ impl Point {
              \"slo_breaches\": {}, \"traces_sampled\": {}}}, \"wall_secs\": {:.4}}}",
             self.intensity,
             self.shards,
-            self.sessions,
+            SESSIONS,
             self.honest,
             self.hostile,
             self.shed_after_retries,
@@ -145,17 +148,10 @@ impl Point {
     }
 }
 
-/// One soak point: a live server under the plan, `sessions` seeded
+/// One soak point: a live server under the plan, [`SESSIONS`] seeded
 /// client sessions, a hot-swap offer every [`SWAP_EVERY`] sessions.
-fn run_point(
-    study: &Study,
-    intensity: f64,
-    shards: usize,
-    sessions: u64,
-    seed: Seed,
-    ips: &[u32],
-) -> Point {
-    let plan = ServeFaultPlan::new(seed.fork("serve-chaos"), intensity);
+fn run_point(study: &Study, intensity: f64, shards: usize, ips: &[u32]) -> Point {
+    let plan = ServeFaultPlan::new(SEED.fork("serve-chaos"), intensity);
     let server = ReputationServer::with_options(
         reputation_snapshot(study, 1, GreylistPolicy::default()),
         shards,
@@ -176,7 +172,7 @@ fn run_point(
     let (mut honest, mut hostile, mut shed) = (0u64, 0u64, 0u64);
     let (mut offered, mut accepted, mut rejected) = (0u64, 0u64, 0u64);
     let start = Instant::now();
-    for session in 0..sessions {
+    for session in 0..SESSIONS {
         if session % SWAP_EVERY == SWAP_EVERY - 1 {
             let ordinal = session / SWAP_EVERY;
             offered += 1;
@@ -212,14 +208,14 @@ fn run_point(
                 }
             }
         }
-        if session == sessions / 2 {
+        if session == SESSIONS / 2 {
             // Mid-soak OP_STATS scrape: the frame must decode while chaos
             // is in flight, and the logical clock must cover every batch
             // served so far (each answered batch advances it by the batch
             // length; each shed connection by one).
             match Client::connect_with(
                 handle.addr(),
-                RetryPolicy::resilient(Seed(seed.0 ^ 0x57A7_5000)),
+                RetryPolicy::resilient(Seed(SEED.0 ^ 0x57A7_5000)),
             )
             .and_then(|mut c| c.stats())
             {
@@ -240,7 +236,7 @@ fn run_point(
                 honest += 1;
                 let mut client = Client::connect_with(
                     handle.addr(),
-                    RetryPolicy::resilient(Seed(seed.0 ^ (0xC11E_4700 + session))),
+                    RetryPolicy::resilient(Seed(SEED.0 ^ (0xC11E_4700 + session))),
                 )
                 .expect("connect");
                 match client.query(ips) {
@@ -273,7 +269,7 @@ fn run_point(
         .expect("final clean offer accepted");
     let mut client = Client::connect_with(
         handle.addr(),
-        RetryPolicy::resilient(Seed(seed.0 ^ 0x4EA1_7400)),
+        RetryPolicy::resilient(Seed(SEED.0 ^ 0x4EA1_7400)),
     )
     .expect("connect");
     let probe = client.health().expect("health probe");
@@ -317,7 +313,6 @@ fn run_point(
     let point = Point {
         intensity,
         shards,
-        sessions,
         honest,
         hostile,
         shed_after_retries: shed,
@@ -369,63 +364,25 @@ fn silence_injected_panics() {
 }
 
 fn main() {
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("bench_chaos takes no arguments (got {arg:?})");
+        std::process::exit(2);
+    }
     silence_injected_panics();
-    let mut seed = Seed(2020);
-    let mut sessions: u64 = 60;
-    let mut only_intensity: Option<f64> = None;
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    fn value(argv: &[String], i: usize) -> f64 {
-        argv.get(i + 1)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| {
-                eprintln!("{} needs a numeric value", argv[i]);
-                std::process::exit(2);
-            })
-    }
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--seed" => {
-                seed = Seed(value(&argv, i) as u64);
-                i += 2;
-            }
-            "--sessions" => {
-                sessions = value(&argv, i) as u64;
-                i += 2;
-            }
-            "--intensity" => {
-                only_intensity = Some(value(&argv, i));
-                i += 2;
-            }
-            "--help" | "-h" => {
-                eprintln!("usage: bench_chaos [--seed N] [--sessions N] [--intensity X]");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument {other:?}; try --help");
-                std::process::exit(2);
-            }
-        }
-    }
     eprintln!(
         "[bench_chaos] building snapshot from quick study (seed {})…",
-        seed.0
+        SEED.0
     );
-    let study = Study::run(StudyConfig::quick_test(seed));
-    let ips = query_log(&study, seed, 300);
-
-    let intensities: Vec<f64> = match only_intensity {
-        Some(x) => vec![x],
-        None => INTENSITIES.to_vec(),
-    };
+    let study = Study::run(StudyConfig::quick_test(SEED));
+    let ips = query_log(&study, SEED, 300);
 
     let mut points = Vec::new();
-    for &intensity in &intensities {
+    for &intensity in &INTENSITIES {
         for &shards in &SHARD_COUNTS {
             eprintln!(
-                "[bench_chaos] soak @ intensity {intensity}, {shards} shard(s), {sessions} sessions…"
+                "[bench_chaos] soak @ intensity {intensity}, {shards} shard(s), {SESSIONS} sessions…"
             );
-            let point = run_point(&study, intensity, shards, sessions, seed, &ips);
+            let point = run_point(&study, intensity, shards, &ips);
             eprintln!(
                 "[bench_chaos]   {} honest / {} hostile sessions, {} panics (all restarted), \
                  {} swaps rejected, {} chaos events, {:.2}s",
@@ -447,7 +404,7 @@ fn main() {
         .map(|p| p.chaos_log_checksum)
     {
         eprintln!("[bench_chaos] replaying intensity 1.0 @ 2 shards for determinism…");
-        let replay = run_point(&study, 1.0, 2, sessions, seed, &ips);
+        let replay = run_point(&study, 1.0, 2, &ips);
         assert_eq!(
             replay.chaos_log_checksum, reference,
             "identical seeds must produce identical chaos logs"
@@ -459,9 +416,9 @@ fn main() {
         "{{\n  \"bench\": \"chaos\",\n  \"seed\": {},\n  \"config\": \"quick_test snapshot, \
          seeded chaos soak, swap every {} sessions\",\n  \"sessions_per_point\": {},\n  \
          \"sweep\": [\n{}\n  ]\n}}\n",
-        seed.0,
+        SEED.0,
         SWAP_EVERY,
-        sessions,
+        SESSIONS,
         rendered.join(",\n")
     );
 

@@ -14,8 +14,8 @@
 //! * the executed fault schedule and every `Degraded` phase annotation.
 //!
 //! Writes `BENCH_faults.json` at the repository root, rendered line by
-//! line with strings quoted by `ar_obs::json::quote`. Flags: `--seed N`
-//! (default 2020), `--threads N`.
+//! line with strings quoted by `ar_obs::json::quote`. The study seed is
+//! fixed at 2020, the seed the committed golden pins. Flag: `--threads N`.
 
 use address_reuse::{Study, StudyConfig};
 use ar_crawler::RetryPolicy;
@@ -27,6 +27,8 @@ use ar_simnet::rng::Seed;
 use std::collections::BTreeSet;
 
 const INTENSITIES: [f64; 4] = [0.0, 0.25, 0.5, 1.0];
+/// The study seed the committed `BENCH_faults.json` pins.
+const SEED: Seed = Seed(2020);
 
 fn ratio(num: usize, den: usize) -> f64 {
     if den == 0 {
@@ -181,23 +183,21 @@ fn sweep_point_json(intensity: f64, run: &Observed, base: &Observed) -> String {
     )
 }
 
-/// Parse `--seed N` and `--threads N` (`None` = `AR_THREADS`, else every
-/// core); anything else exits with status 2.
-fn parse_args() -> (Seed, Option<usize>) {
-    let (mut seed, mut threads) = (Seed(2020), None);
+/// Parse `--threads N` (`None` = `AR_THREADS`, else every core); anything
+/// else exits with status 2.
+fn parse_threads() -> Option<usize> {
+    let mut threads = None;
     let argv: Vec<String> = std::env::args().skip(1).collect();
     for pair in argv.chunks(2) {
-        let value = || -> u64 {
-            pair.get(1).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                eprintln!("{} needs a numeric value", pair[0]);
-                std::process::exit(2);
-            })
-        };
         match pair[0].as_str() {
-            "--seed" => seed = Seed(value()),
-            "--threads" => threads = Some(value() as usize),
+            "--threads" => {
+                threads = Some(pair.get(1).and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+                    eprintln!("--threads needs a numeric value");
+                    std::process::exit(2);
+                }));
+            }
             "--help" | "-h" => {
-                eprintln!("usage: bench_faults [--seed N] [--threads N]");
+                eprintln!("usage: bench_faults [--threads N]");
                 std::process::exit(0);
             }
             other => {
@@ -206,17 +206,17 @@ fn parse_args() -> (Seed, Option<usize>) {
             }
         }
     }
-    (seed, threads)
+    threads
 }
 
 fn main() {
-    let (seed, threads) = parse_args();
+    let threads = parse_threads();
 
     let configure = |intensity: Option<f64>| -> StudyConfig {
-        let mut config = StudyConfig::quick_test(seed);
+        let mut config = StudyConfig::quick_test(SEED);
         config.threads = threads;
         config.ping_retry = RetryPolicy::resilient();
-        config.faults = intensity.map(|i| FaultSpec::new(seed.fork("fault-sweep"), i));
+        config.faults = intensity.map(|i| FaultSpec::new(SEED.fork("fault-sweep"), i));
         config
     };
 
@@ -257,7 +257,7 @@ fn main() {
          \"baseline\": {{\"natted_ips\": {}, \"dynamic_prefixes\": {}, \"census_blocks\": {}, \
          \"listings\": {}, \"blocklisted_ips\": {}, \"crawl_pings_sent\": {}, \"atlas_log_entries\": {}}},\n  \
          \"sweep\": [\n{}\n  ]\n}}\n",
-        seed.0,
+        SEED.0,
         baseline.natted.len(),
         baseline.dynamic_prefixes.len(),
         baseline.census_blocks.len(),

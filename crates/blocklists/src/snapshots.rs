@@ -668,7 +668,7 @@ mod tests {
 
     #[test]
     fn faulted_dataset_stays_subset_of_direct_universe() {
-        use ar_faults::{FaultConfig, FaultDomain, FaultPlan};
+        use ar_faults::{FaultDomain, FaultPlan};
         use ar_simnet::alloc::{AllocationPlan, InterestSet};
         use ar_simnet::config::UniverseConfig;
         use ar_simnet::rng::Seed;
@@ -679,7 +679,7 @@ mod tests {
         let direct = crate::generate::generate_dataset(&u, &[(window(), &alloc)], build_catalog());
         let plan = FaultPlan::generate(
             Seed(505),
-            &FaultConfig::at_intensity(1.0),
+            1.0,
             &FaultDomain {
                 asns: Vec::new(),
                 periods: vec![window()],

@@ -7,6 +7,7 @@
 //! can reply on behalf of hosts. Further, some networks filter outgoing
 //! ICMP traffic, potentially leading to undercounting."
 
+use ar_simnet::config::DYNAMIC_OCCUPANCY;
 use ar_simnet::hosts::Attachment;
 use ar_simnet::time::SimTime;
 use ar_simnet::universe::{AddressPolicy, Universe};
@@ -86,7 +87,7 @@ impl<'u> Responder<'u> {
                 // methodology keys on.
                 let pool = self.universe.pool(pool_id);
                 let epoch = t.as_secs() / pool.mean_hold.as_secs().max(900);
-                self.coin(ip, 0xD000_0000 ^ epoch) < self.universe.config.dynamic_occupancy * 0.85
+                self.coin(ip, 0xD000_0000 ^ epoch) < DYNAMIC_OCCUPANCY * 0.85
             }
             Some(AddressPolicy::Unused) | None => false,
         }

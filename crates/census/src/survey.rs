@@ -17,18 +17,19 @@ use ar_simnet::universe::Universe;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
+/// Addresses probed in each surveyed /24 (their 1% global sample, applied
+/// per block so every block has signal).
+const SAMPLE_PER_BLOCK: usize = 4;
+/// Interval between probes of the same address (theirs: 11 minutes;
+/// coarsened to keep the simulation cheap — the metrics are
+/// interval-relative).
+const PROBE_INTERVAL: SimDuration = SimDuration::from_hours(2);
+
 /// Survey parameters.
 #[derive(Debug, Clone)]
 pub struct SurveyConfig {
     /// Window the survey runs over (Cai et al. run ~2-week surveys).
     pub window: TimeWindow,
-    /// Fraction of each /24's addresses that get probed (their 1% global
-    /// sample, applied per block so every block has signal).
-    pub sample_per_block: usize,
-    /// Interval between probes of the same address (theirs: 11 minutes;
-    /// coarsened to keep the simulation cheap — the metrics are
-    /// interval-relative).
-    pub probe_interval: SimDuration,
     /// Fraction of announced /24s the survey covers. Cai et al. probe ~1%
     /// of the IPv4 space; relative to this workspace's already-downscaled
     /// universes a 20% block sample reproduces the paper's observation
@@ -41,8 +42,6 @@ impl SurveyConfig {
     pub fn two_weeks_from(start: SimTime) -> Self {
         SurveyConfig {
             window: TimeWindow::new(start, start + SimDuration::from_days(14)),
-            sample_per_block: 4,
-            probe_interval: SimDuration::from_hours(2),
             block_coverage: 0.2,
         }
     }
@@ -183,8 +182,8 @@ pub fn run_census_with_faults(
             continue;
         }
         // Sample addresses of the block (deterministic per universe).
-        let mut sample: Vec<Ipv4Addr> = Vec::with_capacity(config.sample_per_block);
-        while sample.len() < config.sample_per_block {
+        let mut sample: Vec<Ipv4Addr> = Vec::with_capacity(SAMPLE_PER_BLOCK);
+        while sample.len() < SAMPLE_PER_BLOCK {
             let ip = rec.prefix.host(rng.gen_range(1..255u16) as u8);
             if !sample.contains(&ip) {
                 sample.push(ip);
@@ -224,7 +223,7 @@ pub fn run_census_with_faults(
                     }
                 }
                 prev = Some(up);
-                t += config.probe_interval;
+                t += PROBE_INTERVAL;
             }
             if streak > 0 {
                 streaks.push(streak);
@@ -234,7 +233,7 @@ pub fn run_census_with_faults(
         replies_total += u64::from(replies);
 
         let probes_per_addr =
-            (config.window.duration().as_secs() / config.probe_interval.as_secs()).max(1) as f64;
+            (config.window.duration().as_secs() / PROBE_INTERVAL.as_secs()).max(1) as f64;
         streaks.sort_unstable();
         let median_streak = if streaks.is_empty() {
             0.0
@@ -405,7 +404,7 @@ mod tests {
 
     #[test]
     fn blackouts_suppress_census_replies() {
-        use ar_faults::{Blackout, FaultConfig, FaultPlan};
+        use ar_faults::{Blackout, FaultPlan};
         use ar_simnet::rng::Seed;
 
         let u = Universe::generate(Seed(317), &UniverseConfig::tiny());
@@ -424,7 +423,7 @@ mod tests {
         // Black out every announced AS for the whole survey window: every
         // would-be reply is suppressed.
         let mut plan = FaultPlan::zero(Seed(2));
-        plan.config = FaultConfig::at_intensity(1.0);
+        plan.intensity = 1.0;
         let mut asns: Vec<_> = u.prefixes.iter().map(|r| r.asn).collect();
         asns.sort_unstable();
         asns.dedup();

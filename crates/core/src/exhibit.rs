@@ -17,7 +17,6 @@ use crate::churn::churn;
 use crate::coverage::coverage;
 use crate::duration::durations;
 use crate::funnel::funnel;
-use crate::greylist::{split_feed, GreylistPolicy};
 use crate::impact::impact;
 use crate::perlist::{census_per_list, dynamic_per_list, natted_per_list, PerListCounts};
 use crate::preassign::assess_pool;
@@ -25,6 +24,7 @@ use crate::quality::scorecard;
 use crate::report::{reused_address_list, ReuseEvidence};
 use crate::study::Study;
 use ar_atlas::{detect_dynamic, interchange_histogram, PipelineConfig};
+use ar_blocklists::policy::{split_feed, GreylistPolicy};
 use ar_crawler::{crawl, CrawlConfig, IpObservation, Sighting};
 use ar_dht::{NodeId, SimNetwork, SimParams};
 use ar_index::IpSet;
@@ -997,7 +997,7 @@ fn ablation_pingverify(study: &Study) -> Exhibit {
 fn ablation_knee(study: &Study) -> Exhibit {
     let truth_fast = study.universe.true_dynamic_prefixes(true);
     let truth_any = study.universe.true_dynamic_prefixes(false);
-    let base = &study.config.pipeline;
+    let base = PipelineConfig::default();
     let mut variants = vec![("kneedle + daily (paper)".to_string(), base.clone())];
     for knee in [2u32, 8, 64, 256, 1024] {
         variants.push((
@@ -1020,7 +1020,7 @@ fn ablation_knee(study: &Study) -> Exhibit {
         PipelineConfig {
             knee_override: Some(2),
             max_mean_interchange: None,
-            ..base.clone()
+            ..base
         },
     ));
     let rows = variants
@@ -1058,7 +1058,7 @@ fn ablation_prefix(study: &Study) -> Exhibit {
         &study.atlas_log,
         &PipelineConfig {
             expand_to_prefix: false,
-            ..study.config.pipeline.clone()
+            ..PipelineConfig::default()
         },
         |ip| study.universe.asn_of(ip),
     );

@@ -35,7 +35,6 @@ pub mod coverage;
 pub mod duration;
 pub mod exhibit;
 pub mod funnel;
-pub mod greylist;
 pub mod impact;
 pub mod perlist;
 pub mod preassign;
@@ -44,13 +43,13 @@ pub mod report;
 pub mod serving;
 pub mod study;
 
+pub use ar_blocklists::policy::{action_for, split_feed, Action, GreylistPolicy, SplitFeed};
 pub use ar_obs::{Event, EventKind, Obs, RunReport};
 pub use churn::{churn, ChurnDay, ChurnSeries};
 pub use coverage::{coverage, AsCounts, Coverage};
 pub use duration::{durations, DurationAnalysis, DurationSummary};
 pub use exhibit::{exhibits, render_markdown, render_tsv, write_exhibits, Exhibit};
 pub use funnel::{funnel, Funnel};
-pub use greylist::{action_for, split_feed, Action, GreylistPolicy, SplitFeed};
 pub use impact::{impact, ImpactAnalysis, ImpactSummary};
 pub use perlist::{census_per_list, dynamic_per_list, natted_per_list, PerListCounts, ReuseKind};
 pub use preassign::{assess_pool, clean_addresses, AddressAssessment};

@@ -80,13 +80,6 @@ pub struct StudyConfig {
     pub universe: UniverseConfig,
     /// Blocklist collection + crawl periods (default: the paper's two).
     pub periods: Vec<TimeWindow>,
-    /// Restrict the crawler to blocklisted /24s (the paper's politeness
-    /// restriction). Disabling widens coverage at probe cost.
-    pub restrict_crawl: bool,
-    /// Atlas pipeline settings (ablations override).
-    pub pipeline: PipelineConfig,
-    /// Census classifier thresholds.
-    pub census_classifier: Classifier,
     /// Skip the bt_ping verification round (ablation).
     pub disable_ping_verification: bool,
     /// Worker threads for the orchestrator and its inner fan-outs. `None`
@@ -125,9 +118,6 @@ impl StudyConfig {
             seed,
             universe,
             periods: vec![PERIOD_1, PERIOD_2],
-            restrict_crawl: true,
-            pipeline: PipelineConfig::default(),
-            census_classifier: Classifier::default(),
             disable_ping_verification: false,
             threads: None,
             faults: None,
@@ -346,7 +336,7 @@ impl Study {
                 atlas_window: ATLAS_WINDOW,
                 feed_count: build_catalog().len() as u16,
             };
-            FaultPlan::generate(spec.seed, &spec.config, &domain)
+            FaultPlan::generate(spec.seed, spec.intensity, &domain)
         });
         let faults = fault_plan.as_ref();
 
@@ -363,11 +353,11 @@ impl Study {
             .collect();
 
         // Inner fan-outs (per-list feeds, per-probe summaries) inherit the
-        // resolved budget unless the pipeline config pinned its own.
-        let mut pipeline = config.pipeline.clone();
-        if pipeline.threads.is_none() {
-            pipeline.threads = Some(threads);
-        }
+        // resolved budget.
+        let pipeline = PipelineConfig {
+            threads: Some(threads),
+            ..PipelineConfig::default()
+        };
 
         // Census surveys during the second period, like the IT89w dataset
         // the paper matched to its window.
@@ -390,7 +380,10 @@ impl Study {
         );
         let blocklists = BlocklistDataset::new(build_catalog(), config.periods.clone(), listings);
 
-        let scope = crawl_scope(&config, &blocklists);
+        // The crawler's address-space restriction (the paper's politeness
+        // rule): the /24s of every blocklisted IP, built once and shared
+        // across periods.
+        let scope = Arc::new(blocklists.all_ips().prefixes());
         let crawl_workers = (threads / plans.len().max(1)).max(1);
         let crawl_launch = Instant::now();
         let period_idxs: Vec<usize> = (0..plans.len()).collect();
@@ -409,7 +402,7 @@ impl Study {
                         idx,
                         *window,
                         plan,
-                        scope.as_ref(),
+                        &scope,
                         faults,
                         &obs,
                         crawl_workers,
@@ -439,15 +432,7 @@ impl Study {
             store,
             &obs,
             CensusReport::default,
-            || {
-                census_task(
-                    &universe,
-                    &census_window,
-                    &config.census_classifier,
-                    faults,
-                    &obs,
-                )
-            },
+            || census_task(&universe, &census_window, faults, &obs),
         );
 
         let crawls_secs = crawl_results.iter().map(|(_, _, secs)| secs).sum();
@@ -589,25 +574,24 @@ impl Study {
 ///
 /// Thread counts, `collect_metrics` and the store location itself are
 /// deliberately excluded: the determinism suites pin that none of them can
-/// move a single artifact byte, so a resumed run may change them freely
-/// (the pipeline's thread override is normalised out for the same reason).
-/// Everything else feeds FNV-1a 64 via its `Debug` rendering. Any future
-/// `StudyConfig` field must be added here — or excluded with the same
-/// justification.
+/// move a single artifact byte, so a resumed run may change them freely.
+/// Everything else feeds FNV-1a 64 via its `Debug` rendering. The
+/// destructuring is exhaustive, so a new field does not compile until it
+/// is hashed or excluded here.
 fn config_fingerprint(config: &StudyConfig) -> u64 {
-    let mut pipeline = config.pipeline.clone();
-    pipeline.threads = None;
+    let StudyConfig {
+        seed,
+        universe,
+        periods,
+        disable_ping_verification,
+        faults,
+        ping_retry,
+        threads: _,
+        collect_metrics: _,
+        store: _,
+    } = config;
     let repr = format!(
-        "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
-        config.seed,
-        config.universe,
-        config.periods,
-        config.restrict_crawl,
-        pipeline,
-        config.census_classifier,
-        config.disable_ping_verification,
-        config.faults,
-        config.ping_retry,
+        "{seed:?}|{universe:?}|{periods:?}|{disable_ping_verification:?}|{faults:?}|{ping_retry:?}"
     );
     fnv1a64(repr.as_bytes())
 }
@@ -685,14 +669,6 @@ impl StoreCtx {
 }
 
 // ---- the phase executor and the phase bodies ------------------------------
-
-/// The crawler's address-space restriction: the /24s of every blocklisted
-/// IP, built once and shared across periods via `Arc`.
-fn crawl_scope(config: &StudyConfig, blocklists: &BlocklistDataset) -> Option<Arc<PrefixSet>> {
-    config
-        .restrict_crawl
-        .then(|| Arc::new(blocklists.all_ips().prefixes()))
-}
 
 /// Render whatever a phase panicked with into a `Failed` reason.
 fn panic_reason(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -813,16 +789,13 @@ fn crawl_period(
     period_idx: usize,
     window: TimeWindow,
     plan: &AllocationPlan,
-    scope: Option<&Arc<PrefixSet>>,
+    scope: &Arc<PrefixSet>,
     faults: Option<&FaultPlan>,
     obs: &Obs,
     workers: usize,
 ) -> (CrawlReport, PhaseStatus) {
     let phase = format!("crawl[{period_idx}]");
-    let mut crawl_config = CrawlConfig::new(window);
-    if let Some(prefixes) = scope {
-        crawl_config = crawl_config.with_scope(Scope::Prefixes(Arc::clone(prefixes)));
-    }
+    let mut crawl_config = CrawlConfig::new(window).with_scope(Scope::Prefixes(Arc::clone(scope)));
     crawl_config.disable_ping_verification = config.disable_ping_verification;
     crawl_config.ping_retry = config.ping_retry;
 
@@ -990,11 +963,10 @@ fn atlas_task(
 fn census_task(
     universe: &Universe,
     census_window: &SurveyConfig,
-    classifier: &Classifier,
     faults: Option<&FaultPlan>,
     obs: &Obs,
 ) -> (CensusReport, PhaseStatus) {
-    let report = run_census_with_faults(universe, census_window, classifier, faults);
+    let report = run_census_with_faults(universe, census_window, &Classifier::default(), faults);
     report.record_obs(obs);
     let status = if report.blackout_suppressed == 0 {
         PhaseStatus::Ok
@@ -1010,6 +982,46 @@ fn census_task(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fingerprint_moves_with_every_artifact_field_and_only_with_them() {
+        type Change = fn(&mut StudyConfig);
+        let base = StudyConfig::quick_test(Seed(1));
+        let changed = |change: Change| {
+            let mut config = base.clone();
+            change(&mut config);
+            config_fingerprint(&config)
+        };
+        let shaping: [(&str, Change); 6] = [
+            ("seed", |c| c.seed = Seed(2)),
+            ("universe", |c| c.universe = UniverseConfig::small()),
+            ("periods", |c| c.periods = vec![PERIOD_1]),
+            ("disable_ping_verification", |c| {
+                c.disable_ping_verification = true
+            }),
+            ("faults", |c| c.faults = Some(FaultSpec::new(Seed(1), 0.5))),
+            ("ping_retry", |c| c.ping_retry = RetryPolicy::resilient()),
+        ];
+        for (field, change) in shaping {
+            assert_ne!(
+                changed(change),
+                config_fingerprint(&base),
+                "changing {field} must change the fingerprint"
+            );
+        }
+        let neutral: [(&str, Change); 3] = [
+            ("threads", |c| c.threads = Some(7)),
+            ("collect_metrics", |c| c.collect_metrics = false),
+            ("store", |c| c.store = Some(PathBuf::from("elsewhere"))),
+        ];
+        for (field, change) in neutral {
+            assert_eq!(
+                changed(change),
+                config_fingerprint(&base),
+                "changing {field} must not change the fingerprint"
+            );
+        }
+    }
 
     #[test]
     fn a_panicking_phase_fails_under_its_own_name_and_is_never_saved() {

@@ -39,41 +39,25 @@ impl Scope {
 ///
 /// A lost ping is not evidence of absence — under bursty loss or transient
 /// blackouts an entire verification round can silently miss a live NAT.
-/// With retries enabled, each unanswered ping is re-sent after `backoff`
+/// With retries enabled, each unanswered ping is re-sent after 30 s
 /// (doubling per attempt) until `max_retries` re-sends have been spent or
-/// the next send would land past `deadline` / the crawl window.
+/// the next send would land more than 10 minutes past the original send
+/// or past the crawl window.
 ///
 /// The default is **off** (`max_retries == 0`): a retry-free engine is
 /// byte-identical to the pre-retry engine, which the determinism matrix
 /// depends on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Re-sends allowed per unanswered ping (0 = feature off).
     pub max_retries: u32,
-    /// Delay before the first re-send; doubles on each further attempt.
-    pub backoff: SimDuration,
-    /// No re-send is issued later than this far past the original send.
-    pub deadline: SimDuration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 0,
-            backoff: SimDuration::from_secs(30),
-            deadline: SimDuration::from_mins(10),
-        }
-    }
 }
 
 impl RetryPolicy {
     /// The resilience setting used by fault-sweep studies: up to three
-    /// re-sends, 30 s initial backoff, 10-minute deadline.
+    /// re-sends.
     pub fn resilient() -> Self {
-        RetryPolicy {
-            max_retries: 3,
-            ..RetryPolicy::default()
-        }
+        RetryPolicy { max_retries: 3 }
     }
 
     pub fn is_off(&self) -> bool {
@@ -93,21 +77,10 @@ pub struct CrawlConfig {
     /// Maximum messages sent per virtual second (rate limiting to spare the
     /// network, as the paper's admins demanded).
     pub rate_per_sec: u32,
-    /// Re-issue get_nodes to a known endpoint after this long, keeping
-    /// discovery continuous across the window.
-    pub recrawl_after: SimDuration,
     /// Interval between bt_ping verification rounds (paper: hourly).
     pub ping_round_every: SimDuration,
     /// Per-IP contact suppression (paper: 20 minutes).
     pub per_ip_cooldown: SimDuration,
-    /// Ports drop out of the hourly ping set when not sighted for this
-    /// long. Without pruning, reboot-era port churn accretes dead ports
-    /// for every IP, and the bt_ping volume explodes while the response
-    /// rate collapses — the paper's 1.6B pings / 48.6% responses imply its
-    /// crawler also confined pings to fresh ports.
-    pub port_stale_after: SimDuration,
-    /// Hard cap on ports pinged per IP and round (freshest first).
-    pub max_ports_per_ip: usize,
     /// Number of crawler vantage points. The paper runs one and notes
     /// "we could reduce this burden and have a faster coverage by having
     /// the crawler at multiple vantage points in different networks"
@@ -140,10 +113,6 @@ pub struct CrawlConfig {
     /// per transport it is given, so this is the count its callers build;
     /// [`crate::crawl`] and the checkpointed crawls are one partition.
     pub shards: usize,
-    /// Bound on cross-partition hand-offs queued per (source partition,
-    /// destination partition, hour); overflow is counted in
-    /// `CrawlStats::handoffs_dropped` rather than growing without limit.
-    pub handoff_cap: usize,
 }
 
 impl CrawlConfig {
@@ -153,11 +122,8 @@ impl CrawlConfig {
             scope: Scope::All,
             bootstrap_size: 64,
             rate_per_sec: 600,
-            recrawl_after: SimDuration::from_hours(24),
             ping_round_every: SimDuration::from_hours(1),
             per_ip_cooldown: SimDuration::from_mins(20),
-            port_stale_after: SimDuration::from_days(3),
-            max_ports_per_ip: 128,
             vantage_points: 1,
             disable_ping_verification: false,
             ping_retry: RetryPolicy::default(),
@@ -165,7 +131,6 @@ impl CrawlConfig {
             log_head: 0,
             log_tail: 0,
             shards: 8,
-            handoff_cap: 1 << 16,
         }
     }
 
@@ -202,10 +167,11 @@ mod tests {
 
     #[test]
     fn resilient_retry_policy_is_on() {
+        use crate::engine::{RETRY_BACKOFF, RETRY_DEADLINE};
         let p = RetryPolicy::resilient();
         assert!(!p.is_off());
         assert_eq!(p.max_retries, 3);
-        assert!(!p.backoff.is_zero());
-        assert!(p.deadline.as_secs() >= p.backoff.as_secs());
+        assert!(!RETRY_BACKOFF.is_zero());
+        assert!(RETRY_DEADLINE.as_secs() >= RETRY_BACKOFF.as_secs());
     }
 }

@@ -22,6 +22,28 @@ use ar_simnet::time::{SimDuration, SimTime, TimeWindow};
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use std::net::{Ipv4Addr, SocketAddrV4};
 
+/// Re-issue get_nodes to a known endpoint after this long, keeping
+/// discovery continuous across the window.
+const RECRAWL_AFTER: SimDuration = SimDuration::from_hours(24);
+/// Ports drop out of the hourly ping set when not sighted for this long.
+/// Without pruning, reboot-era port churn accretes dead ports for every IP,
+/// and the bt_ping volume explodes while the response rate collapses — the
+/// paper's 1.6B pings / 48.6% responses imply its crawler also confined
+/// pings to fresh ports.
+const PORT_STALE_AFTER: SimDuration = SimDuration::from_days(3);
+/// Hard cap on ports pinged per IP and round (freshest first).
+const MAX_PORTS_PER_IP: usize = 128;
+/// Bound on cross-partition hand-offs queued per (source partition,
+/// destination partition, hour); overflow is counted in
+/// `CrawlStats::handoffs_dropped` rather than growing without limit.
+const HANDOFF_CAP: usize = 1 << 16;
+/// Delay before a verification ping's first re-send under a
+/// [`crate::RetryPolicy`]; doubles on each further attempt.
+pub(crate) const RETRY_BACKOFF: SimDuration = SimDuration::from_secs(30);
+/// No verification re-send is issued later than this far past the
+/// original send.
+pub(crate) const RETRY_DEADLINE: SimDuration = SimDuration::from_mins(10);
+
 /// Aggregate crawl statistics (paper §4 reports these for the real crawl:
 /// 1.6B pings, 779M responses / 48.6%, 48.7M unique IPs, 203M node_ids).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -210,33 +232,27 @@ impl CrawlReport {
     /// `crawler.*`. Counters add (study totals accumulate across periods);
     /// `phase` labels per-period gauges. Pure observation — reading the
     /// report never changes it.
-    ///
-    /// Everything is accumulated in a local [`ar_obs::ObsBatch`] and
-    /// published with one locked merge at the end — concurrent per-period
-    /// crawls no longer take a registry lock per metric.
     pub fn record_obs(&self, obs: &ar_obs::Obs, phase: &str) {
         if !obs.enabled() {
             return;
         }
         let s = &self.stats;
-        let mut batch = ar_obs::ObsBatch::new();
-        batch.add("crawler.get_nodes_sent", s.get_nodes_sent);
-        batch.add("crawler.pings_sent", s.pings_sent);
-        batch.add("crawler.ping_replies", s.ping_replies);
-        batch.add("crawler.pings_timed_out", s.pings_timed_out());
-        batch.add("crawler.ping_retries", s.ping_retries);
-        batch.add("crawler.pings_recovered", s.pings_recovered);
-        batch.add("crawler.replies_received", s.replies_received);
-        batch.add("crawler.ping_rounds", s.ping_rounds);
-        batch.add("crawler.unique_ips", s.unique_ips);
-        batch.add("crawler.unique_node_ids", s.unique_node_ids);
-        batch.add("crawler.multiport_ips", s.multiport_ips);
-        batch.add("crawler.natted_ips", s.natted_ips);
-        batch.add("crawler.handoffs_routed", s.handoffs_routed);
-        batch.add("crawler.handoffs_dropped", s.handoffs_dropped);
-        batch.add("crawler.observations", self.observations.len() as u64);
-        self.log.batch_obs(&mut batch, phase);
-        batch.merge_into(obs);
+        obs.add("crawler.get_nodes_sent", s.get_nodes_sent);
+        obs.add("crawler.pings_sent", s.pings_sent);
+        obs.add("crawler.ping_replies", s.ping_replies);
+        obs.add("crawler.pings_timed_out", s.pings_timed_out());
+        obs.add("crawler.ping_retries", s.ping_retries);
+        obs.add("crawler.pings_recovered", s.pings_recovered);
+        obs.add("crawler.replies_received", s.replies_received);
+        obs.add("crawler.ping_rounds", s.ping_rounds);
+        obs.add("crawler.unique_ips", s.unique_ips);
+        obs.add("crawler.unique_node_ids", s.unique_node_ids);
+        obs.add("crawler.multiport_ips", s.multiport_ips);
+        obs.add("crawler.natted_ips", s.natted_ips);
+        obs.add("crawler.handoffs_routed", s.handoffs_routed);
+        obs.add("crawler.handoffs_dropped", s.handoffs_dropped);
+        obs.add("crawler.observations", self.observations.len() as u64);
+        self.log.record_obs(obs, phase);
         let ports = obs.histogram("crawler.ports_per_ip");
         for o in self.observations.values() {
             ports.observe(o.ports.len() as u64);
@@ -389,7 +405,7 @@ impl<'c> Engine<'c> {
     /// Queue a discovery for its owner partition.
     fn route_handoff(&mut self, ep: SocketAddrV4, node_id: Option<NodeId>, at: SimTime) {
         let queue = &mut self.outbox[shard_of(*ep.ip(), self.count)];
-        if queue.len() >= self.config.handoff_cap {
+        if queue.len() >= HANDOFF_CAP {
             self.stats.handoffs_dropped += 1;
         } else {
             queue.push(Handoff { ep, node_id, at });
@@ -721,13 +737,11 @@ impl<'c> Engine<'c> {
             let mut fresh: Vec<(SimTime, u16)> = obs
                 .ports
                 .iter()
-                .filter(|(_, rec)| {
-                    now.saturating_sub(rec.last_seen) <= self.config.port_stale_after
-                })
+                .filter(|(_, rec)| now.saturating_sub(rec.last_seen) <= PORT_STALE_AFTER)
                 .map(|(port, rec)| (rec.last_seen, *port))
                 .collect();
             fresh.sort_unstable_by(|a, b| b.cmp(a));
-            fresh.truncate(self.config.max_ports_per_ip);
+            fresh.truncate(MAX_PORTS_PER_IP);
             let ports: Vec<u16> = fresh.into_iter().map(|(_, p)| p).collect();
             if ports.len() < 2 {
                 continue; // nothing verifiable this round
@@ -739,16 +753,15 @@ impl<'c> Engine<'c> {
                 // Retry-with-exponential-backoff: attempt 0 is the normal
                 // ping; with `ping_retry` enabled, unanswered pings are
                 // re-sent after a doubling delay until the policy's retry
-                // or deadline budget runs out. With the default (off)
+                // budget or the deadline runs out. With the default (off)
                 // policy this loop body executes exactly once, preserving
                 // the retry-free engine's behaviour bit for bit.
-                let policy = self.config.ping_retry;
-                let deadline = (now + policy.deadline)
+                let deadline = (now + RETRY_DEADLINE)
                     .min(self.config.window.end)
                     .min(now + self.config.ping_round_every);
                 let mut send_at = now;
-                let mut delay = policy.backoff;
-                for attempt in 0..=policy.max_retries {
+                let mut delay = RETRY_BACKOFF;
+                for attempt in 0..=self.config.ping_retry.max_retries {
                     self.stats.pings_sent += 1;
                     if attempt > 0 {
                         self.stats.ping_retries += 1;
@@ -809,7 +822,7 @@ impl<'c> Engine<'c> {
         let due: Vec<SocketAddrV4> = self
             .live_endpoints
             .iter()
-            .filter(|(_, last)| now.saturating_sub(**last) >= self.config.recrawl_after)
+            .filter(|(_, last)| now.saturating_sub(**last) >= RECRAWL_AFTER)
             .map(|(ep, _)| *ep)
             .collect();
         for ep in due {

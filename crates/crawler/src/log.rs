@@ -209,31 +209,20 @@ impl MessageLog {
         self.total - self.retained() as u64
     }
 
-    /// Accumulate the exact counters (and the truncation gauge) into a
-    /// metrics batch under `crawler.log.*`. The gauge is suffixed with
-    /// the crawl's phase label because each period has its own log.
-    pub fn batch_obs(&self, batch: &mut ar_obs::ObsBatch, phase: &str) {
-        batch.add("crawler.log.records", self.total);
-        batch.add("crawler.log.sent", self.sent);
-        batch.add("crawler.log.received", self.received);
-        batch.add("crawler.log.get_nodes", self.get_nodes);
-        batch.add("crawler.log.bt_pings", self.bt_pings);
-        batch.add("crawler.log.replies", self.replies);
-        batch.set_gauge(
+    /// Publish the exact counters (and the truncation gauge) into the
+    /// registry under `crawler.log.*`. The gauge is suffixed with the
+    /// crawl's phase label because each period has its own log.
+    pub fn record_obs(&self, obs: &ar_obs::Obs, phase: &str) {
+        obs.add("crawler.log.records", self.total);
+        obs.add("crawler.log.sent", self.sent);
+        obs.add("crawler.log.received", self.received);
+        obs.add("crawler.log.get_nodes", self.get_nodes);
+        obs.add("crawler.log.bt_pings", self.bt_pings);
+        obs.add("crawler.log.replies", self.replies);
+        obs.set_gauge(
             &format!("crawler.log.dropped_records.{phase}"),
             self.dropped_records() as i64,
         );
-    }
-
-    /// Publish the counters directly into the registry (standalone use;
-    /// the crawl report batches instead — see [`Self::batch_obs`]).
-    pub fn record_obs(&self, obs: &ar_obs::Obs, phase: &str) {
-        if !obs.enabled() {
-            return;
-        }
-        let mut batch = ar_obs::ObsBatch::new();
-        self.batch_obs(&mut batch, phase);
-        batch.merge_into(obs);
     }
 }
 

@@ -45,7 +45,7 @@ pub mod wire;
 
 pub use faults::{FaultStats, FaultyTransport};
 pub use node_id::{Distance, NodeId};
-pub use population::{DhtPopulation, NodeSession, PopulationParams};
+pub use population::{DhtPopulation, NodeSession};
 pub use routing::{Contact, InsertOutcome, RoutingTable, K};
 pub use sim::{
     Delivered, KrpcTransport, NetStats, ShardedSimNetwork, SimNetShard, SimNetwork, SimParams,

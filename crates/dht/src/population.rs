@@ -27,30 +27,15 @@ use ar_simnet::universe::Universe;
 use std::collections::HashMap;
 use std::net::{Ipv4Addr, SocketAddrV4};
 
-/// Tunables of the behaviour model.
-#[derive(Debug, Clone)]
-pub struct PopulationParams {
-    /// Shortest / longest per-host epoch (session granularity).
-    pub epoch_hours_min: u64,
-    pub epoch_hours_max: u64,
-    /// Probability that an epoch boundary is a reboot (new node_id, new NAT
-    /// binding).
-    pub reboot_prob: f64,
-    /// Fraction of clients that randomise their listening port per reboot
-    /// era even without a NAT in front.
-    pub random_port_rate: f64,
-}
-
-impl Default for PopulationParams {
-    fn default() -> Self {
-        PopulationParams {
-            epoch_hours_min: 8,
-            epoch_hours_max: 72,
-            reboot_prob: 0.3,
-            random_port_rate: 0.25,
-        }
-    }
-}
+/// Shortest / longest per-host epoch in hours (session granularity).
+const EPOCH_HOURS_MIN: u64 = 8;
+const EPOCH_HOURS_MAX: u64 = 72;
+/// Probability that an epoch boundary is a reboot (new node_id, new NAT
+/// binding).
+const REBOOT_PROB: f64 = 0.3;
+/// Fraction of clients that randomise their listening port per reboot era
+/// even without a NAT in front.
+const RANDOM_PORT_RATE: f64 = 0.25;
 
 /// A host's DHT presence during one epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,7 +60,6 @@ const VERSIONS: [[u8; 4]; 5] = [
 pub struct DhtPopulation<'u> {
     universe: &'u Universe,
     alloc: &'u AllocationPlan,
-    params: PopulationParams,
     seed: Seed,
     /// All hosts running BitTorrent, in stable order.
     bt_hosts: Vec<HostId>,
@@ -85,11 +69,7 @@ pub struct DhtPopulation<'u> {
 }
 
 impl<'u> DhtPopulation<'u> {
-    pub fn new(
-        universe: &'u Universe,
-        alloc: &'u AllocationPlan,
-        params: PopulationParams,
-    ) -> Self {
+    pub fn new(universe: &'u Universe, alloc: &'u AllocationPlan) -> Self {
         let bt_hosts: Vec<HostId> = universe.bittorrent_hosts().map(|h| h.id).collect();
         let static_by_ip = universe
             .bittorrent_hosts()
@@ -101,7 +81,6 @@ impl<'u> DhtPopulation<'u> {
         DhtPopulation {
             universe,
             alloc,
-            params,
             seed: universe.seed.fork("dht-pop"),
             bt_hosts,
             static_by_ip,
@@ -124,8 +103,8 @@ impl<'u> DhtPopulation<'u> {
     }
 
     fn epoch_len_secs(&self, host: HostId) -> u64 {
-        let span = self.params.epoch_hours_max - self.params.epoch_hours_min + 1;
-        let hours = self.params.epoch_hours_min + self.hash(host, 0xE90C) % span;
+        let span = EPOCH_HOURS_MAX - EPOCH_HOURS_MIN + 1;
+        let hours = EPOCH_HOURS_MIN + self.hash(host, 0xE90C) % span;
         hours * 3600
     }
 
@@ -150,7 +129,7 @@ impl<'u> DhtPopulation<'u> {
                 return 0;
             }
             let roll = self.hash(host, 0x4EB0_0000 ^ e) as f64 / u64::MAX as f64;
-            if roll < self.params.reboot_prob {
+            if roll < REBOOT_PROB {
                 return e;
             }
             e -= 1;
@@ -200,8 +179,7 @@ impl<'u> DhtPopulation<'u> {
             self.universe.host(host).attachment,
             Attachment::NatUser { .. }
         );
-        let randomises =
-            (self.hash(host, 0x9087) as f64 / u64::MAX as f64) < self.params.random_port_rate;
+        let randomises = (self.hash(host, 0x9087) as f64 / u64::MAX as f64) < RANDOM_PORT_RATE;
         let label = if is_nat || randomises {
             // NAT binding / randomised listening port: fresh per era.
             0x7077_0000 ^ era
@@ -319,7 +297,7 @@ mod tests {
             Fixture { universe, alloc }
         }
         fn pop(&self) -> DhtPopulation<'_> {
-            DhtPopulation::new(&self.universe, &self.alloc, PopulationParams::default())
+            DhtPopulation::new(&self.universe, &self.alloc)
         }
     }
 

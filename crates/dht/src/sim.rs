@@ -9,7 +9,7 @@
 //! Fault injection is explicit and configurable ([`SimParams`]), in the
 //! spirit of smoltcp's `--drop-chance`-style knobs.
 
-use crate::population::{DhtPopulation, PopulationParams};
+use crate::population::DhtPopulation;
 use crate::wire::{Message, MessageBody, Query, Response};
 use ar_simnet::alloc::AllocationPlan;
 use ar_simnet::rng::{Rng, Seed, SmallRng};
@@ -205,7 +205,7 @@ pub struct SimNetwork<'u> {
 
 impl<'u> SimNetwork<'u> {
     pub fn new(universe: &'u Universe, alloc: &'u AllocationPlan, params: SimParams) -> Self {
-        let pop = DhtPopulation::new(universe, alloc, PopulationParams::default());
+        let pop = DhtPopulation::new(universe, alloc);
         let rng = universe.seed.fork("simnet").rng();
         SimNetwork {
             pop,
@@ -265,7 +265,7 @@ pub struct ShardedSimNetwork<'u> {
 
 impl<'u> ShardedSimNetwork<'u> {
     pub fn new(universe: &'u Universe, alloc: &'u AllocationPlan, params: SimParams) -> Self {
-        let pop = DhtPopulation::new(universe, alloc, PopulationParams::default());
+        let pop = DhtPopulation::new(universe, alloc);
         ShardedSimNetwork {
             pop,
             params,

@@ -5,7 +5,7 @@
 //! mid-crawl, blocklist feeds miss collection days or ship truncated files,
 //! Atlas probes go dark, and DHT packet loss comes in bursts rather than
 //! i.i.d. drops. This crate schedules all of those failures up front as a
-//! [`FaultPlan`] — a pure function of `(Seed, FaultConfig, FaultDomain)` —
+//! [`FaultPlan`] — a pure function of `(Seed, intensity, FaultDomain)` —
 //! so a faulted study is exactly as reproducible as a fault-free one.
 //!
 //! Two invariants make the plan safe to thread through every subsystem:
@@ -25,8 +25,8 @@ pub mod plan;
 pub mod serve_plan;
 
 pub use plan::{
-    AtlasGap, Blackout, CrawlerOutage, FaultConfig, FaultDomain, FaultPlan, FaultSpec, FeedFault,
-    FeedFaultKind, LossBurst, PlanSummary,
+    AtlasGap, Blackout, CrawlerOutage, FaultDomain, FaultPlan, FaultSpec, FeedFault, FeedFaultKind,
+    LossBurst, PlanSummary,
 };
 pub use serve_plan::{
     ClientMisbehavior, ServeFaultConfig, ServeFaultPlan, ServePlanSummary, SnapshotFault,

@@ -7,50 +7,6 @@ use ar_simnet::rng::{Rng, Seed};
 use ar_simnet::time::{SimDuration, SimTime, TimeWindow, HOUR};
 use std::collections::BTreeMap;
 
-/// Dial positions for fault generation. `intensity` is the master knob
-/// (0.0 = nothing, 1.0 = the paper-hostile Internet); the per-class scales
-/// let an experiment exaggerate or mute one failure mode.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultConfig {
-    /// Master fault intensity in `[0, 1]` (values above 1 are allowed and
-    /// simply scale schedules further).
-    pub intensity: f64,
-    /// Per-AS blackout windows (routing incidents, national outages).
-    pub blackout_scale: f64,
-    /// Crawler-vantage crashes mid-crawl.
-    pub outage_scale: f64,
-    /// Blocklist feed failures: missed days, truncated or corrupt files.
-    pub feed_scale: f64,
-    /// Atlas connection-log collection gaps.
-    pub atlas_scale: f64,
-    /// Bursty elevated DHT packet loss.
-    pub dht_scale: f64,
-}
-
-impl FaultConfig {
-    /// Everything off. `FaultPlan::generate` with this config yields a
-    /// provably empty plan.
-    pub fn off() -> Self {
-        Self::at_intensity(0.0)
-    }
-
-    /// All fault classes at their default mix, scaled by one knob.
-    pub fn at_intensity(intensity: f64) -> Self {
-        FaultConfig {
-            intensity,
-            blackout_scale: 1.0,
-            outage_scale: 1.0,
-            feed_scale: 1.0,
-            atlas_scale: 1.0,
-            dht_scale: 1.0,
-        }
-    }
-
-    pub fn is_zero(&self) -> bool {
-        self.intensity <= 0.0
-    }
-}
-
 /// What the study exposes to fault generation: the shape of the world the
 /// plan schedules failures over. Kept deliberately small so `ar-faults`
 /// depends only on `ar-simnet`.
@@ -66,20 +22,20 @@ pub struct FaultDomain {
     pub feed_count: u16,
 }
 
-/// The seed + config pair a `StudyConfig` carries; the plan itself is built
-/// once the universe (and hence the domain) exists.
+/// The seed + intensity pair a `StudyConfig` carries; the plan itself is
+/// built once the universe (and hence the domain) exists.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultSpec {
     pub seed: Seed,
-    pub config: FaultConfig,
+    /// Master fault intensity in `[0, 1]` (0.0 = nothing, 1.0 = the
+    /// paper-hostile Internet); values above 1 are allowed and simply
+    /// scale schedules further.
+    pub intensity: f64,
 }
 
 impl FaultSpec {
     pub fn new(seed: Seed, intensity: f64) -> Self {
-        FaultSpec {
-            seed,
-            config: FaultConfig::at_intensity(intensity),
-        }
+        FaultSpec { seed, intensity }
     }
 }
 
@@ -153,11 +109,12 @@ pub struct PlanSummary {
 }
 
 /// Every failure scheduled for one study. Pure function of
-/// `(Seed, FaultConfig, FaultDomain)`.
+/// `(Seed, intensity, FaultDomain)`.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     pub seed: Seed,
-    pub config: FaultConfig,
+    /// The master intensity the plan was generated at (see [`FaultSpec`]).
+    pub intensity: f64,
     pub blackouts: Vec<Blackout>,
     pub crawler_outages: Vec<CrawlerOutage>,
     pub feed_faults: Vec<FeedFault>,
@@ -174,7 +131,7 @@ impl FaultPlan {
     pub fn zero(seed: Seed) -> Self {
         FaultPlan {
             seed,
-            config: FaultConfig::off(),
+            intensity: 0.0,
             blackouts: Vec::new(),
             crawler_outages: Vec::new(),
             feed_faults: Vec::new(),
@@ -187,13 +144,13 @@ impl FaultPlan {
 
     /// Schedule every fault class over `domain`. All randomness comes from
     /// `seed.fork("fault-plan")`, so generating a plan never perturbs any
-    /// other subsystem's stream, and the same `(seed, config, domain)`
+    /// other subsystem's stream, and the same `(seed, intensity, domain)`
     /// always yields the same plan.
-    pub fn generate(seed: Seed, config: &FaultConfig, domain: &FaultDomain) -> Self {
+    pub fn generate(seed: Seed, intensity: f64, domain: &FaultDomain) -> Self {
         let mut rng = seed.fork("fault-plan").rng();
-        let i = config.intensity.max(0.0);
+        let i = intensity.max(0.0);
         let mut plan = FaultPlan::zero(seed);
-        plan.config = *config;
+        plan.intensity = intensity;
         if i == 0.0 {
             return plan;
         }
@@ -202,10 +159,7 @@ impl FaultPlan {
         // a 4–36 h window per measurement period.
         if !domain.asns.is_empty() {
             for period in &domain.periods {
-                let n = frac_count(
-                    &mut rng,
-                    i * config.blackout_scale * domain.asns.len() as f64 * 0.2,
-                );
+                let n = frac_count(&mut rng, i * domain.asns.len() as f64 * 0.2);
                 for _ in 0..n {
                     let asn = domain.asns[rng.gen_range(0..domain.asns.len())];
                     let hours = rng.gen_range(4..=36);
@@ -225,7 +179,7 @@ impl FaultPlan {
         // middle 10–80% of the period so there is always a segment to
         // checkpoint and a segment to resume.
         for (idx, period) in domain.periods.iter().enumerate() {
-            let n = frac_count(&mut rng, i * config.outage_scale * 1.5);
+            let n = frac_count(&mut rng, i * 1.5);
             let span = period.duration().as_secs();
             let (lo, hi) = (span / 10, (span * 8 / 10).max(span / 10 + 1));
             let mut crashes: Vec<SimTime> = (0..n)
@@ -245,9 +199,9 @@ impl FaultPlan {
         // Feed faults: independent per (list, collection day). At full
         // intensity a day has a 6% chance of being missed outright, 5% of a
         // truncated file, 4% of line corruption.
-        let p_missed = (i * config.feed_scale * 0.06).min(1.0);
-        let p_trunc = (i * config.feed_scale * 0.05).min(1.0);
-        let p_corrupt = (i * config.feed_scale * 0.04).min(1.0);
+        let p_missed = (i * 0.06).min(1.0);
+        let p_trunc = (i * 0.05).min(1.0);
+        let p_corrupt = (i * 0.04).min(1.0);
         for list in 0..domain.feed_count {
             for period in &domain.periods {
                 for day in period.days_iter() {
@@ -272,7 +226,7 @@ impl FaultPlan {
 
         // Atlas collection gaps: up to ~6 gaps of 12 h – 5 days across the
         // (long) connection-log window.
-        let n = frac_count(&mut rng, i * config.atlas_scale * 6.0);
+        let n = frac_count(&mut rng, i * 6.0);
         let span = domain.atlas_window.duration().as_secs().max(1);
         for _ in 0..n {
             let start = domain.atlas_window.start + SimDuration::from_secs(rng.gen_range(0..span));
@@ -285,7 +239,7 @@ impl FaultPlan {
         // DHT loss bursts: short (1–8 h) windows of sharply elevated loss
         // during the crawl periods.
         for period in &domain.periods {
-            let n = frac_count(&mut rng, i * config.dht_scale * 8.0);
+            let n = frac_count(&mut rng, i * 8.0);
             let span = period.duration().as_secs().max(1);
             for _ in 0..n {
                 let start = period.start + SimDuration::from_secs(rng.gen_range(0..span));
@@ -401,7 +355,7 @@ impl FaultPlan {
             self.feed_faults.iter().filter(|f| pred(&f.kind)).count()
         };
         PlanSummary {
-            intensity: self.config.intensity,
+            intensity: self.intensity,
             blackouts: self.blackouts.len(),
             crawler_outages: self.crawler_outages.len(),
             feed_missed_days: kind_count(|k| matches!(k, FeedFaultKind::MissedDay)),
@@ -437,7 +391,7 @@ mod tests {
 
     #[test]
     fn zero_intensity_is_empty() {
-        let plan = FaultPlan::generate(Seed(7), &FaultConfig::off(), &domain());
+        let plan = FaultPlan::generate(Seed(7), 0.0, &domain());
         assert!(plan.is_zero());
         assert!(!plan.has_any());
         assert!(plan.blackouts.is_empty());
@@ -451,20 +405,20 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        let a = FaultPlan::generate(Seed(11), &FaultConfig::at_intensity(0.7), &domain());
-        let b = FaultPlan::generate(Seed(11), &FaultConfig::at_intensity(0.7), &domain());
+        let a = FaultPlan::generate(Seed(11), 0.7, &domain());
+        let b = FaultPlan::generate(Seed(11), 0.7, &domain());
         assert_eq!(a.blackouts, b.blackouts);
         assert_eq!(a.crawler_outages, b.crawler_outages);
         assert_eq!(a.feed_faults, b.feed_faults);
         assert_eq!(a.atlas_gaps, b.atlas_gaps);
         assert_eq!(a.loss_bursts, b.loss_bursts);
-        let c = FaultPlan::generate(Seed(12), &FaultConfig::at_intensity(0.7), &domain());
+        let c = FaultPlan::generate(Seed(12), 0.7, &domain());
         assert_ne!(a.feed_faults, c.feed_faults, "seed must matter");
     }
 
     #[test]
     fn nonzero_intensity_schedules_every_class() {
-        let plan = FaultPlan::generate(Seed(3), &FaultConfig::at_intensity(1.0), &domain());
+        let plan = FaultPlan::generate(Seed(3), 1.0, &domain());
         assert!(plan.has_network_faults());
         assert!(plan.has_outages());
         assert!(plan.has_feed_faults());
@@ -476,7 +430,7 @@ mod tests {
 
     #[test]
     fn schedules_respect_their_windows() {
-        let plan = FaultPlan::generate(Seed(5), &FaultConfig::at_intensity(1.0), &domain());
+        let plan = FaultPlan::generate(Seed(5), 1.0, &domain());
         for b in &plan.blackouts {
             assert!(b.window.start < b.window.end);
             assert!(PERIOD_1.contains(b.window.start) || PERIOD_2.contains(b.window.start));
@@ -501,7 +455,7 @@ mod tests {
 
     #[test]
     fn lookups_match_schedules() {
-        let plan = FaultPlan::generate(Seed(9), &FaultConfig::at_intensity(1.0), &domain());
+        let plan = FaultPlan::generate(Seed(9), 1.0, &domain());
         let b = plan.blackouts[0];
         assert!(plan.blackout_at(Some(b.asn), b.window.start));
         assert!(!plan.blackout_at(None, b.window.start));
@@ -517,8 +471,8 @@ mod tests {
 
     #[test]
     fn intensity_scales_fault_volume() {
-        let lo = FaultPlan::generate(Seed(21), &FaultConfig::at_intensity(0.2), &domain());
-        let hi = FaultPlan::generate(Seed(21), &FaultConfig::at_intensity(1.0), &domain());
+        let lo = FaultPlan::generate(Seed(21), 0.2, &domain());
+        let hi = FaultPlan::generate(Seed(21), 1.0, &domain());
         assert!(hi.feed_faults.len() > lo.feed_faults.len());
         assert!(hi.blackouts.len() >= lo.blackouts.len());
     }

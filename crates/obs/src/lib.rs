@@ -188,80 +188,6 @@ impl Histogram {
     }
 }
 
-/// A locally-accumulated batch of counter adds and gauge writes.
-///
-/// Hot paths (per-shard crawl recording, per-period phase summaries) fill
-/// a batch with plain map updates — no locks, no atomics — and publish it
-/// with [`ObsBatch::merge_into`], which takes each registry lock **once**
-/// per batch instead of once per metric. Counters commute, so per-shard
-/// batches merged in any order produce the same registry state; gauges
-/// follow the registry's usual last-write rule, so keep gauge names unique
-/// per batch source (phase-labelled, as the crawl does).
-#[derive(Debug, Clone, Default)]
-pub struct ObsBatch {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, i64>,
-}
-
-impl ObsBatch {
-    pub fn new() -> Self {
-        ObsBatch::default()
-    }
-
-    /// Accumulate `n` onto the batched counter `name`.
-    pub fn add(&mut self, name: &str, n: u64) {
-        *self.counters.entry(name.to_string()).or_default() += n;
-    }
-
-    /// Set the batched gauge `name` (last write within the batch wins).
-    pub fn set_gauge(&mut self, name: &str, v: i64) {
-        self.gauges.insert(name.to_string(), v);
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty()
-    }
-
-    /// Fold another batch into this one (shard batches into a phase batch).
-    pub fn absorb(&mut self, other: ObsBatch) {
-        for (name, n) in other.counters {
-            *self.counters.entry(name).or_default() += n;
-        }
-        for (name, v) in other.gauges {
-            self.gauges.insert(name, v);
-        }
-    }
-
-    /// Publish the batch into `obs`, locking each registry once. No-op on
-    /// a disabled handle.
-    pub fn merge_into(self, obs: &Obs) {
-        let Some(inner) = &obs.inner else {
-            return;
-        };
-        if !self.counters.is_empty() {
-            let mut counters = inner
-                .counters
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            for (name, n) in self.counters {
-                counters
-                    .entry(name)
-                    .or_insert_with(|| Arc::new(AtomicU64::new(0)))
-                    .fetch_add(n, Ordering::AcqRel);
-            }
-        }
-        if !self.gauges.is_empty() {
-            let mut gauges = inner.gauges.lock().unwrap_or_else(PoisonError::into_inner);
-            for (name, v) in self.gauges {
-                gauges
-                    .entry(name)
-                    .or_insert_with(|| Arc::new(AtomicI64::new(0)))
-                    .store(v, Ordering::Release);
-            }
-        }
-    }
-}
-
 /// RAII timer for one span run: records the elapsed wall time under its
 /// path on drop. Obtain via [`Obs::span`].
 pub struct SpanGuard {
@@ -651,43 +577,6 @@ mod tests {
         assert_eq!(phases, ["blocklists", "crawl[0]", "crawl[1]"]);
         assert_eq!(report.event_counts["retry_fired"], 9);
         assert_eq!(report.event_counts["feed_day_missed"], 3);
-    }
-
-    #[test]
-    fn batch_merges_counters_and_gauges_with_one_publish() {
-        let obs = Obs::new();
-        obs.add("pre.existing", 5);
-
-        let mut shard_a = ObsBatch::new();
-        shard_a.add("crawler.sent", 10);
-        shard_a.add("crawler.sent", 7);
-        shard_a.add("pre.existing", 1);
-        let mut shard_b = ObsBatch::new();
-        shard_b.add("crawler.sent", 3);
-        shard_b.set_gauge("crawler.backlog.crawl[0]", 42);
-
-        // Shard batches fold into a phase batch, then publish once.
-        let mut phase = ObsBatch::new();
-        assert!(phase.is_empty());
-        phase.absorb(shard_a);
-        phase.absorb(shard_b);
-        assert!(!phase.is_empty());
-        phase.merge_into(&obs);
-
-        let report = obs.report();
-        assert_eq!(report.counters["crawler.sent"], 20);
-        assert_eq!(report.counters["pre.existing"], 6);
-        assert_eq!(report.gauges["crawler.backlog.crawl[0]"], 42);
-    }
-
-    #[test]
-    fn batch_into_disabled_obs_is_a_noop() {
-        let obs = Obs::disabled();
-        let mut batch = ObsBatch::new();
-        batch.add("x", 1);
-        batch.set_gauge("g", 2);
-        batch.merge_into(&obs);
-        assert_eq!(obs.report(), RunReport::default());
     }
 
     #[test]

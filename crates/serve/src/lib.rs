@@ -52,5 +52,5 @@ pub use snapshot::{
     checksum_verdicts, encode_verdicts, fnv1a64, ListVerdict, ReputationSnapshot, SnapshotDefect,
     SnapshotInput, Verdict, VerdictClass,
 };
-pub use telemetry::{SloConfig, SloState, StatsFrame, TelemetryConfig, WindowSummary};
+pub use telemetry::{SloState, StatsFrame, TelemetryConfig, WindowSummary};
 pub use wire::{Request, WireError, MAX_FRAME};

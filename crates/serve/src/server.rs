@@ -21,7 +21,7 @@
 //!   streams are untouched;
 //! * **admission control** — the per-shard queue is bounded
 //!   ([`ServeOptions::queue_cap`]) and carries a deadline budget
-//!   ([`ServeOptions::queue_deadline`]); excess or expired admissions are
+//!   ([`QUEUE_DEADLINE`]); excess or expired admissions are
 //!   shed with an explicit `Overloaded` wire reply instead of unbounded
 //!   latency;
 //! * **validated hot swap** ([`ReputationServer::offer_swap`]) — an
@@ -61,6 +61,10 @@ use std::time::{Duration, Instant};
 /// Phase name under which the server reports metrics and events.
 pub const PHASE: &str = "serve";
 
+/// How long an admitted connection may wait in its shard queue before the
+/// worker sheds it instead of servicing it.
+pub const QUEUE_DEADLINE: Duration = Duration::from_secs(5);
+
 /// Tuning knobs for the TCP front end. The defaults are loose enough
 /// that a well-behaved workload never notices them; the chaos suite
 /// tightens them to force the shedding paths.
@@ -69,15 +73,12 @@ pub struct ServeOptions {
     /// Bounded per-shard admission queue depth (clamped to ≥ 1); a full
     /// queue sheds new connections with an `Overloaded` reply.
     pub queue_cap: usize,
-    /// How long an admitted connection may wait in the queue before the
-    /// worker sheds it instead of servicing it.
-    pub queue_deadline: Duration,
     /// How long a started frame may dribble in before the connection is
     /// cut off (slow-loris defense).
     pub stall_timeout: Duration,
     /// Serving-path fault plan (`None` or zero intensity = no injection).
     pub faults: Option<ServeFaultPlan>,
-    /// Live telemetry plane tuning (windows, tracing, SLO budgets).
+    /// Live telemetry plane tuning (windows and tracing).
     /// Observation-only: the verdict stream is byte-identical with
     /// telemetry on or off.
     pub telemetry: TelemetryConfig,
@@ -87,7 +88,6 @@ impl Default for ServeOptions {
     fn default() -> ServeOptions {
         ServeOptions {
             queue_cap: 256,
-            queue_deadline: Duration::from_secs(5),
             stall_timeout: Duration::from_secs(30),
             faults: None,
             telemetry: TelemetryConfig::default(),
@@ -319,14 +319,8 @@ impl ReputationServer {
         }
         // The telemetry clock advances whether or not the cumulative
         // registry is on: ticks are the wire-visible time base.
-        self.telemetry.on_batch(
-            &self.obs,
-            &self.health,
-            origin,
-            classes,
-            generation,
-            took.as_micros() as u64,
-        );
+        self.telemetry
+            .on_batch(&self.obs, &self.health, origin, classes, generation);
         if !self.obs.enabled() {
             return;
         }
@@ -355,7 +349,7 @@ impl ReputationServer {
     /// logical tick, per-shard queue depths, cumulative `serve.*`
     /// counters, retained windows, SLO state and the trace digest. The
     /// aggregate `serve.frames_rejected` is *derived* here as the sum of
-    /// the per-reason counters (see [`reject_reason_counter`]).
+    /// the per-reason `serve.frames_rejected.<reason>` counters.
     pub fn stats_frame(&self) -> StatsFrame {
         let report = self.obs.report();
         let mut counters: BTreeMap<String, u64> = report
@@ -522,7 +516,7 @@ impl ReputationServer {
         // Depth observed as this connection leaves its queue — it rides
         // along into the trace records of the connection's batches.
         let queue_depth = self.telemetry.queue_left(shard as usize);
-        if admitted_at.elapsed() > self.options.queue_deadline {
+        if admitted_at.elapsed() > QUEUE_DEADLINE {
             self.shed(
                 &mut stream,
                 shard,

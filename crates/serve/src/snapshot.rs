@@ -11,8 +11,9 @@
 //! * the dynamically-allocated space (/24 prefixes plus exact addresses).
 //!
 //! A lookup combines them with the §6 [`GreylistPolicy`] into a
-//! [`Verdict`]. Snapshots are immutable after [`build`]; the server swaps
-//! whole `Arc`s, never mutates.
+//! [`Verdict`]. Snapshots are immutable after
+//! [`ReputationSnapshot::build`]; the server swaps whole `Arc`s, never
+//! mutates.
 
 use ar_blocklists::policy::{
     action_for, Action, GreylistPolicy, ReuseEvidence, ReusedAddressEntry,

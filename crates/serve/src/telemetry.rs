@@ -17,8 +17,8 @@
 //!   verdict classes, a batch-size log₂ histogram);
 //! * a [`TraceSampler`] capturing admission→shard→verdict
 //!   [`TraceRecord`]s by stride and seeded bottom-k reservoir;
-//! * an SLO tracker evaluating error budgets (shed rate, degraded
-//!   windows, optionally latency) at every window close, emitting
+//! * an SLO tracker evaluating two error budgets (shed rate and
+//!   consecutive degraded windows) at every window close, emitting
 //!   `slo_breach` / `slo_recovered` events and annotating the health
 //!   machine's reason string.
 //!
@@ -39,7 +39,6 @@ const PHASE: &str = "serve";
 /// Window counter names (also the per-window keys in OP_STATS frames).
 const W_QUERIES: &str = "queries";
 const W_SHED: &str = "shed";
-const W_SLOW: &str = "slow_batches";
 const W_BATCHES: &str = "batches";
 const W_BLOCK: &str = "block";
 const W_GREYLIST: &str = "greylist";
@@ -47,38 +46,15 @@ const W_UNLISTED: &str = "unlisted";
 /// Batch-size histogram name inside each window.
 const H_BATCH: &str = "batch_len";
 
-/// Error budgets evaluated at every window close.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SloConfig {
-    /// Shed budget: breach when `1000 * shed / (queries + shed)` inside
-    /// a closed window exceeds this.
-    pub shed_budget_permille: u32,
-    /// Latency objective: a batch slower than this burns budget. `None`
-    /// disables the objective — the default, because wall-clock latency
-    /// is the one nondeterministic quantity and enabling it makes the
-    /// per-window `slow_batches` counter run-dependent.
-    pub latency_budget_micros: Option<u64>,
-    /// Latency budget: breach when `1000 * slow_batches / batches`
-    /// inside a closed window exceeds this.
-    pub latency_breach_permille: u32,
-    /// Degraded-time budget: breach after this many *consecutive*
-    /// closed windows with the health machine in `Degraded`.
-    pub degraded_budget_windows: u32,
-}
+/// Shed budget, evaluated at every window close: breach when
+/// `1000 * shed / (queries + shed)` inside a closed window exceeds this.
+const SHED_BUDGET_PERMILLE: u32 = 50;
+/// Degraded-time budget: breach after this many *consecutive* closed
+/// windows with the health machine in `Degraded`.
+const DEGRADED_BUDGET_WINDOWS: u32 = 2;
 
-impl Default for SloConfig {
-    fn default() -> SloConfig {
-        SloConfig {
-            shed_budget_permille: 50,
-            latency_budget_micros: None,
-            latency_breach_permille: 100,
-            degraded_budget_windows: 2,
-        }
-    }
-}
-
-/// Telemetry-plane tuning. Defaults keep every instrument on with
-/// budgets loose enough that a healthy workload never breaches.
+/// Telemetry-plane tuning. Defaults keep every instrument on; the SLO
+/// budgets are loose enough that a healthy workload never breaches.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TelemetryConfig {
     /// Master switch; off turns every hook into a no-op (OP_STATS still
@@ -94,7 +70,6 @@ pub struct TelemetryConfig {
     pub trace_reservoir: usize,
     /// Seed for the reservoir priorities.
     pub trace_seed: u64,
-    pub slo: SloConfig,
 }
 
 impl Default for TelemetryConfig {
@@ -106,7 +81,6 @@ impl Default for TelemetryConfig {
             trace_every: 128,
             trace_reservoir: 32,
             trace_seed: 0xA11CE,
-            slo: SloConfig::default(),
         }
     }
 }
@@ -343,7 +317,6 @@ impl Telemetry {
         origin: &BatchOrigin,
         verdict_classes: (u64, u64, u64),
         generation: u64,
-        took_micros: u64,
     ) {
         let (block, greylist, unlisted) = verdict_classes;
         let batch_len = block + greylist + unlisted;
@@ -363,11 +336,6 @@ impl Telemetry {
             }
             if unlisted > 0 {
                 ring.add(W_UNLISTED, unlisted);
-            }
-            if let Some(budget) = self.config.slo.latency_budget_micros {
-                if took_micros > budget {
-                    ring.add(W_SLOW, 1);
-                }
             }
             ring.observe(H_BATCH, batch_len);
             let closed = ring.advance(tick);
@@ -441,15 +409,10 @@ impl Telemetry {
 
     /// Evaluate every budget against one closed window.
     fn evaluate_slo(&self, obs: &Obs, health: &HealthCell, window: &Window) {
-        let cfg = &self.config.slo;
         let queries = window.counter(W_QUERIES);
         let shed = window.counter(W_SHED);
         let admitted = queries + shed;
         let shed_permille = shed.saturating_mul(1000).checked_div(admitted).unwrap_or(0) as u32;
-
-        let batches = window.counter(W_BATCHES);
-        let slow = window.counter(W_SLOW);
-        let slow_permille = slow.saturating_mul(1000).checked_div(batches).unwrap_or(0) as u32;
 
         let mut slo = self.slo.lock().unwrap_or_else(PoisonError::into_inner);
         slo.windows_evaluated += 1;
@@ -461,22 +424,15 @@ impl Telemetry {
         }
 
         let mut burns: Vec<String> = Vec::new();
-        if shed_permille > cfg.shed_budget_permille {
+        if shed_permille > SHED_BUDGET_PERMILLE {
             burns.push(format!(
-                "shed {shed_permille}‰ > budget {}‰",
-                cfg.shed_budget_permille
+                "shed {shed_permille}‰ > budget {SHED_BUDGET_PERMILLE}‰"
             ));
         }
-        if cfg.latency_budget_micros.is_some() && slow_permille > cfg.latency_breach_permille {
+        if slo.consecutive_degraded > DEGRADED_BUDGET_WINDOWS {
             burns.push(format!(
-                "slow batches {slow_permille}‰ > budget {}‰",
-                cfg.latency_breach_permille
-            ));
-        }
-        if slo.consecutive_degraded > cfg.degraded_budget_windows {
-            burns.push(format!(
-                "degraded for {} windows > budget {}",
-                slo.consecutive_degraded, cfg.degraded_budget_windows
+                "degraded for {} windows > budget {DEGRADED_BUDGET_WINDOWS}",
+                slo.consecutive_degraded
             ));
         }
 
@@ -506,7 +462,7 @@ impl Telemetry {
             recoveries: slo.recoveries,
             windows_evaluated: slo.windows_evaluated,
             last_shed_permille: slo.last_shed_permille,
-            shed_budget_permille: self.config.slo.shed_budget_permille,
+            shed_budget_permille: SHED_BUDGET_PERMILLE,
         }
     }
 
@@ -648,14 +604,7 @@ mod tests {
     }
 
     fn served(t: &Telemetry, obs: &Obs, health: &HealthCell, batch: u64) {
-        t.on_batch(
-            obs,
-            health,
-            &BatchOrigin::in_process(),
-            (batch, 0, 0),
-            1,
-            10,
-        );
+        t.on_batch(obs, health, &BatchOrigin::in_process(), (batch, 0, 0), 1);
     }
 
     #[test]

@@ -26,63 +26,33 @@ impl Scale {
     }
 }
 
-/// Full parameter set for [`crate::Universe::generate`].
+/// Fraction of a dynamic pool's addresses that have a subscriber. The
+/// universe generator fills pools to it, and the census responder's
+/// dynamic-block coin reads it back.
+pub const DYNAMIC_OCCUPANCY: f64 = 0.8;
+
+/// Relative frequency of each AS tier, aligned with [`AsTier::ALL`]: a
+/// handful of backbones, many small networks.
+const TIER_WEIGHTS: [f64; 5] = [0.01, 0.09, 0.40, 0.20, 0.30];
+
+/// The size parameters of [`crate::Universe::generate`]: the ones that
+/// differ between presets. Everything else about the synthetic Internet
+/// is a constant of the model, beside the generator that reads it.
 #[derive(Debug, Clone)]
 pub struct UniverseConfig {
     /// Downscaling factor relative to the paper's populations.
     pub scale: Scale,
     /// Number of autonomous systems to generate.
     pub num_ases: u32,
-    /// Relative frequency of each AS tier, aligned with [`AsTier::ALL`].
-    pub tier_weights: [f64; 5],
-    /// Mean users behind a small (home/office) NAT, beyond the first.
-    pub nat_small_extra_mean: f64,
-    /// Fraction of NAT gateways that are carrier-grade (large user counts).
-    pub cgn_fraction: f64,
-    /// Median users behind a carrier-grade NAT.
-    pub cgn_median_users: f64,
-    /// Hard cap on users behind one NAT gateway.
-    pub nat_max_users: u32,
-    /// Mean address-hold time, in hours, for fast dynamic pools (≤ 1 day —
-    /// the population §3.2's final filter is designed to catch).
-    pub fast_hold_hours_mean: f64,
-    /// Mean address-hold time, in days, for slow dynamic pools.
-    pub slow_hold_days_mean: f64,
-    /// Fraction of dynamic-pool subscribers that relocate to a different AS
-    /// mid-window (the 13.1% of probes the paper excludes).
-    pub multi_as_mover_rate: f64,
     /// Multiplier applied to per-AS prefix counts (shrinks test universes).
     pub prefix_scale: f64,
-    /// Public gateway addresses carved out of each NAT-policy /24.
-    pub nat_gateways_per_prefix: u32,
-    /// Fraction of a dynamic pool's addresses that have a subscriber.
-    pub dynamic_occupancy: f64,
-    /// BitTorrent-propensity multiplier for NAT users relative to the AS
-    /// baseline (P2P usage clusters behind shared connectivity; DeKoven et
-    /// al., cited in paper §4, find P2P devices disproportionately
-    /// compromised).
-    pub nat_bt_multiplier: f64,
-    /// Per-user BitTorrent rate behind carrier-grade NATs (drives Figure
-    /// 8's long tail — the paper detected up to 78 users on one address).
-    pub cgn_bt_rate: f64,
     /// Target number of RIPE Atlas probe hosts (paper: 15,703, scaled more
     /// gently than addresses so Figure 2 keeps a usable population).
     pub probe_target: u32,
-    /// Probe-hosting propensity multiplier for statically attached hosts.
-    /// Atlas volunteers skew toward static connections: the paper finds 59%
-    /// of probes never change address in 16 months (Figure 2).
-    pub probe_static_bias: f64,
-    /// Probe-hosting propensity multiplier for dynamic-pool subscribers.
-    pub probe_dynamic_bias: f64,
-    /// Multiplier on per-AS malice rates. 1.0 at experiment scale; test
-    /// universes raise it so the blocklisted∩reused joins stay populated
-    /// despite tiny host populations.
+    /// Multiplier on per-AS malice rates. Test universes raise it so the
+    /// blocklisted∩reused joins stay populated despite tiny host
+    /// populations.
     pub malice_boost: f64,
-    /// Fraction of ASes that filter outbound ICMP (census confounder).
-    pub icmp_filtered_as_rate: f64,
-    /// Fraction of static hosts fronted by a middlebox that answers ICMP on
-    /// their behalf (census confounder).
-    pub middlebox_rate: f64,
 }
 
 impl UniverseConfig {
@@ -94,7 +64,6 @@ impl UniverseConfig {
             prefix_scale: 0.08,
             probe_target: 120,
             malice_boost: 12.0,
-            ..Self::base()
         }
     }
 
@@ -106,19 +75,6 @@ impl UniverseConfig {
             prefix_scale: 0.25,
             probe_target: 500,
             malice_boost: 5.0,
-            ..Self::base()
-        }
-    }
-
-    /// Default experiment universe used by the figure-regeneration
-    /// binaries (~1:500 of the paper's address populations).
-    pub fn experiment() -> Self {
-        UniverseConfig {
-            scale: Scale(500),
-            num_ases: 600,
-            prefix_scale: 1.0,
-            probe_target: 1_570,
-            ..Self::base()
         }
     }
 
@@ -135,44 +91,16 @@ impl UniverseConfig {
             // Calibrated so the blocklisted-address population lands near
             // paper-scale (2.2M / scale); the tier baselines alone overshoot.
             malice_boost: 0.4,
-            ..Self::base()
         }
     }
 
-    fn base() -> Self {
-        UniverseConfig {
-            scale: Scale(250),
-            num_ases: 1_000,
-            // Tier mix: a handful of backbones, many small networks.
-            tier_weights: [0.01, 0.09, 0.40, 0.20, 0.30],
-            nat_small_extra_mean: 1.3,
-            cgn_fraction: 0.015,
-            cgn_median_users: 18.0,
-            nat_max_users: 300,
-            fast_hold_hours_mean: 10.0,
-            slow_hold_days_mean: 60.0,
-            multi_as_mover_rate: 0.131,
-            prefix_scale: 1.0,
-            nat_gateways_per_prefix: 32,
-            dynamic_occupancy: 0.8,
-            nat_bt_multiplier: 3.5,
-            cgn_bt_rate: 0.35,
-            probe_target: 1_570,
-            probe_static_bias: 3.2,
-            probe_dynamic_bias: 0.55,
-            malice_boost: 1.0,
-            icmp_filtered_as_rate: 0.15,
-            middlebox_rate: 0.05,
-        }
-    }
-
-    /// Tier of the `idx`-th AS given the configured weights (deterministic
+    /// Tier of the `idx`-th AS given the tier weights (deterministic
     /// stratified assignment so every universe has its backbones).
     pub fn tier_for_index(&self, idx: u32) -> AsTier {
-        let total: f64 = self.tier_weights.iter().sum();
+        let total: f64 = TIER_WEIGHTS.iter().sum();
         let frac = (f64::from(idx) + 0.5) / f64::from(self.num_ases);
         let mut acc = 0.0;
-        for (tier, w) in AsTier::ALL.iter().zip(self.tier_weights) {
+        for (tier, w) in AsTier::ALL.iter().zip(TIER_WEIGHTS) {
             acc += w / total;
             if frac < acc {
                 return *tier;
@@ -195,12 +123,12 @@ mod tests {
 
     #[test]
     fn tier_assignment_is_stratified() {
-        let cfg = UniverseConfig::experiment();
+        let cfg = UniverseConfig::at_scale(500);
         let mut counts = std::collections::HashMap::new();
         for i in 0..cfg.num_ases {
             *counts.entry(cfg.tier_for_index(i).name()).or_insert(0u32) += 1;
         }
-        // With 1% backbone weight over 1000 ASes we expect ~10 backbones.
+        // With 1% backbone weight over 624 ASes we expect ~6 backbones.
         let backbones = counts["backbone"];
         assert!(
             (5..=20).contains(&backbones),
@@ -212,7 +140,7 @@ mod tests {
     #[test]
     fn presets_are_ordered_by_size() {
         assert!(UniverseConfig::tiny().scale.0 > UniverseConfig::small().scale.0);
-        assert!(UniverseConfig::small().scale.0 > UniverseConfig::experiment().scale.0);
+        assert!(UniverseConfig::small().scale.0 > UniverseConfig::at_scale(500).scale.0);
     }
 
     #[test]

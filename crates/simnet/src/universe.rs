@@ -13,7 +13,7 @@
 //! …) exist for *validation* of detector output.
 
 use crate::asn::{AsProfile, AsTier, Asn, Region};
-use crate::config::UniverseConfig;
+use crate::config::{UniverseConfig, DYNAMIC_OCCUPANCY};
 use crate::hosts::{Attachment, Host, HostBehavior, HostId, NatId, PoolId};
 use crate::ip::{IpRange, Prefix24};
 use crate::malice::{MaliceCategory, MalicePersistence, MaliceProfile};
@@ -22,6 +22,37 @@ use crate::stats;
 use crate::time::{SimDuration, PERIOD_1, PERIOD_2};
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
+
+/// Fraction of NAT gateways that are carrier-grade (large user counts).
+const CGN_FRACTION: f64 = 0.015;
+/// Median users behind a carrier-grade NAT.
+const CGN_MEDIAN_USERS: f64 = 18.0;
+/// Hard cap on users behind one NAT gateway.
+const NAT_MAX_USERS: u32 = 300;
+/// Mean address-hold time, in hours, for fast dynamic pools (≤ 1 day —
+/// the population §3.2's final filter is designed to catch).
+const FAST_HOLD_HOURS_MEAN: f64 = 10.0;
+/// Mean address-hold time, in days, for slow dynamic pools.
+const SLOW_HOLD_DAYS_MEAN: f64 = 60.0;
+/// Fraction of hosts that relocate to a different AS mid-window (the
+/// 13.1% of probes the paper excludes).
+const MULTI_AS_MOVER_RATE: f64 = 0.131;
+/// Public gateway addresses carved out of each NAT-policy /24.
+const NAT_GATEWAYS_PER_PREFIX: u32 = 32;
+/// Per-user BitTorrent rate behind carrier-grade NATs (drives Figure 8's
+/// long tail — the paper detected up to 78 users on one address).
+const CGN_BT_RATE: f64 = 0.35;
+/// Probe-hosting propensity multiplier for statically attached hosts.
+/// Atlas volunteers skew toward static connections: the paper finds 59% of
+/// probes never change address in 16 months (Figure 2).
+const PROBE_STATIC_BIAS: f64 = 3.2;
+/// Probe-hosting propensity multiplier for dynamic-pool subscribers.
+const PROBE_DYNAMIC_BIAS: f64 = 0.55;
+/// Fraction of ASes that filter outbound ICMP (census confounder).
+const ICMP_FILTERED_AS_RATE: f64 = 0.15;
+/// Fraction of static hosts fronted by a middlebox that answers ICMP on
+/// their behalf (census confounder).
+const MIDDLEBOX_RATE: f64 = 0.05;
 
 /// Address-allocation policy of one `/24` prefix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -314,7 +345,7 @@ impl Generator {
             p.nat_share = (p.nat_share * rng.gen_range(0.7..1.3)).min(0.9);
             p.bittorrent_rate = (p.bittorrent_rate * rng.gen_range(0.5..1.8)).min(0.95);
             p.malice_rate = (p.malice_rate * rng.gen_range(0.3..2.5)).min(0.5);
-            if rng.gen_bool(self.config.icmp_filtered_as_rate) {
+            if rng.gen_bool(ICMP_FILTERED_AS_RATE) {
                 self.icmp_filtered_ases.insert(asn);
             }
             self.ases.push(p);
@@ -407,18 +438,15 @@ impl Generator {
         // curve is smooth, and the Kneedle knee lands in single digits only
         // when intermediate churn rates exist.
         let mean_hold = if rng.gen_bool(profile.fast_dynamic_share) {
-            let h = stats::sample_lognormal(rng, self.config.fast_hold_hours_mean, 0.8)
-                .clamp(4.0, 23.9);
+            let h = stats::sample_lognormal(rng, FAST_HOLD_HOURS_MEAN, 0.8).clamp(4.0, 23.9);
             SimDuration::from_secs((h * 3600.0) as u64)
         } else {
-            let d = stats::sample_lognormal(rng, self.config.slow_hold_days_mean, 1.1)
-                .clamp(1.05, 300.0);
+            let d = stats::sample_lognormal(rng, SLOW_HOLD_DAYS_MEAN, 1.1).clamp(1.05, 300.0);
             SimDuration::from_secs((d * 86_400.0) as u64)
         };
         let fast = mean_hold <= SimDuration::from_days(1);
 
-        let sub_count =
-            ((span.addrs as f64) * self.config.dynamic_occupancy * rng.gen_range(0.85..1.0)) as u32;
+        let sub_count = ((span.addrs as f64) * DYNAMIC_OCCUPANCY * rng.gen_range(0.85..1.0)) as u32;
         let mut subscribers = Vec::with_capacity(sub_count as usize);
         for sub in 0..sub_count {
             let host_id = HostId(self.hosts.len() as u32);
@@ -449,14 +477,13 @@ impl Generator {
             asn: profile.asn,
             policy: AddressPolicy::NatBlock,
         });
-        let gateways = self.config.nat_gateways_per_prefix.clamp(1, 254);
-        for g in 0..gateways {
+        for g in 0..NAT_GATEWAYS_PER_PREFIX {
             let nat_id = NatId(self.nat_gateways.len() as u32);
             let ip = prefix.host((g + 1) as u8);
-            let carrier_grade = rng.gen_bool(self.config.cgn_fraction);
+            let carrier_grade = rng.gen_bool(CGN_FRACTION);
             let user_count = if carrier_grade {
-                (stats::sample_lognormal(rng, self.config.cgn_median_users, 1.0).round() as u32)
-                    .clamp(3, self.config.nat_max_users)
+                (stats::sample_lognormal(rng, CGN_MEDIAN_USERS, 1.0).round() as u32)
+                    .clamp(3, NAT_MAX_USERS)
             } else if rng.gen_bool(0.35) {
                 1 // single-user gateway: NOT a reused address
             } else {
@@ -549,7 +576,7 @@ impl Generator {
             // Relocation (taking the device to a different network) is not
             // specific to dynamic subscribers: the paper's 13.1% multi-AS
             // probes include moved hardware of every attachment kind.
-            multi_as_mover: rng.gen_bool(self.config.multi_as_mover_rate),
+            multi_as_mover: rng.gen_bool(MULTI_AS_MOVER_RATE),
         }
     }
 
@@ -566,7 +593,7 @@ impl Generator {
         let bt_rate = if carrier_grade {
             // Carrier-grade NAT fronts whole access networks with a dense
             // client population — the source of Figure 8's tail.
-            self.config.cgn_bt_rate
+            CGN_BT_RATE
         } else {
             profile.bittorrent_rate * 0.5
         };
@@ -575,7 +602,7 @@ impl Generator {
 
     fn static_host_behavior(&self, profile: &AsProfile, rng: &mut SmallRng) -> HostBehavior {
         let mut b = self.base_behavior(profile, rng, profile.bittorrent_rate);
-        b.middlebox = rng.gen_bool(self.config.middlebox_rate);
+        b.middlebox = rng.gen_bool(MIDDLEBOX_RATE);
         if profile.tier == AsTier::Hosting {
             // Servers are up nearly all the time.
             b.online_fraction = rng.gen_range(0.9..1.0);
@@ -674,8 +701,8 @@ impl Generator {
             .iter()
             .map(|h| {
                 let bias = match h.attachment {
-                    Attachment::Static { .. } => self.config.probe_static_bias,
-                    Attachment::DynamicSub { .. } => self.config.probe_dynamic_bias,
+                    Attachment::Static { .. } => PROBE_STATIC_BIAS,
+                    Attachment::DynamicSub { .. } => PROBE_DYNAMIC_BIAS,
                     Attachment::NatUser { .. } => 1.0,
                 };
                 as_rate.get(&h.asn).copied().unwrap_or(0.0) * bias
@@ -808,7 +835,7 @@ mod tests {
             "2-user NATs should be the majority: {twos}/{}",
             counts.len()
         );
-        assert!(counts.iter().all(|&n| n <= u.config.nat_max_users as usize));
+        assert!(counts.iter().all(|&n| n <= NAT_MAX_USERS as usize));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use ar_blocklists::{build_catalog, generate_dataset, malice_events};
 use ar_crawler::{crawl, CrawlConfig, Scope};
-use ar_dht::{DhtPopulation, PopulationParams, SimNetwork, SimParams};
+use ar_dht::{DhtPopulation, SimNetwork, SimParams};
 use ar_simnet::alloc::{AllocationPlan, InterestSet};
 use ar_simnet::hosts::Attachment;
 use ar_simnet::ip::Prefix24;
@@ -27,7 +27,7 @@ fn fixture() -> (Universe, AllocationPlan) {
 fn malice_events_and_dht_share_addresses() {
     let (universe, alloc) = fixture();
     let events = malice_events(&universe, &alloc, window());
-    let pop = DhtPopulation::new(&universe, &alloc, PopulationParams::default());
+    let pop = DhtPopulation::new(&universe, &alloc);
 
     // For malicious BitTorrent hosts, the address the blocklists see at
     // time t is the address the DHT endpoint uses at time t.
