@@ -35,7 +35,7 @@ use ar_serve::{
     checksum_verdicts, fnv1a64, misbehave, Client, HealthState, ReputationServer, RetryPolicy,
     ServeOptions,
 };
-use ar_simnet::rng::Seed;
+use ar_simnet::rng::{mix64, Seed, GOLDEN_GAMMA};
 use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
@@ -49,11 +49,8 @@ const SESSIONS: u64 = 60;
 const SWAP_EVERY: u64 = 5;
 
 fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    *state = state.wrapping_add(GOLDEN_GAMMA);
+    mix64(*state)
 }
 
 /// The per-session query batch: a seeded 80/20 hot/uniform mix over the

@@ -21,7 +21,7 @@ use crate::dataset::{BlocklistDataset, Listing};
 use ar_simnet::alloc::AllocationPlan;
 use ar_simnet::malice::{MaliceCategory, MaliceEvent};
 use ar_simnet::par;
-use ar_simnet::rng::{Rng, SmallRng};
+use ar_simnet::rng::{mix64, Rng, SmallRng, GOLDEN_GAMMA};
 use ar_simnet::stats;
 use ar_simnet::time::{SimDuration, SimTime, TimeWindow};
 use ar_simnet::universe::Universe;
@@ -84,10 +84,7 @@ fn category_affinity(list_cat: MaliceCategory, event_cat: MaliceCategory) -> f64
 
 /// Stable per-(list, actor) coin in [0, 1): splitmix64 of the pair.
 fn visibility_hash(list: u16, actor: u32) -> f64 {
-    let mut x = (u64::from(list) << 40) ^ u64::from(actor) ^ 0x9e37_79b9_7f4a_7c15;
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^= x >> 31;
+    let x = mix64((u64::from(list) << 40) ^ u64::from(actor) ^ GOLDEN_GAMMA);
     (x >> 11) as f64 / (1u64 << 53) as f64
 }
 

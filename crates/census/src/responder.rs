@@ -9,6 +9,7 @@
 
 use ar_simnet::config::DYNAMIC_OCCUPANCY;
 use ar_simnet::hosts::Attachment;
+use ar_simnet::rng::mix64;
 use ar_simnet::time::SimTime;
 use ar_simnet::universe::{AddressPolicy, Universe};
 use std::collections::BTreeMap;
@@ -40,10 +41,7 @@ impl<'u> Responder<'u> {
     }
 
     fn coin(&self, ip: Ipv4Addr, label: u64) -> f64 {
-        let mut x = self.seed ^ (u64::from(u32::from(ip)) << 20) ^ label;
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^= x >> 31;
+        let x = mix64(self.seed ^ (u64::from(u32::from(ip)) << 20) ^ label);
         (x >> 11) as f64 / (1u64 << 53) as f64
     }
 

@@ -68,7 +68,7 @@ use address_reuse::{
 use ar_blocklists::{build_catalog, parse_plain_tolerant, render_plain};
 use ar_simnet::config::UniverseConfig;
 use ar_simnet::malice::MaliceCategory;
-use ar_simnet::rng::Seed;
+use ar_simnet::rng::{mix64, Seed, GOLDEN_GAMMA};
 use std::net::Ipv4Addr;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -112,26 +112,41 @@ fn flag_value(args: &[String], name: &str) -> Option<String> {
         .cloned()
 }
 
+/// The value of `name` parsed as `T`; `None` when the flag is absent.
+fn parsed_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String>
+where
+    T::Err: std::fmt::Display,
+{
+    flag_value(args, name)
+        .map(|v| v.parse().map_err(|e| format!("bad {name}: {e}")))
+        .transpose()
+}
+
+/// The study a command runs, with a label for its progress line:
+/// `quick_test` at `--seed` (default 2020) when `quick`, otherwise the
+/// paper's configuration at `--scale` (default 2000).
+fn study_config(args: &[String], quick: bool) -> Result<(StudyConfig, String), String> {
+    let seed = parsed_flag(args, "--seed")?.unwrap_or(2020u64);
+    let scale = parsed_flag(args, "--scale")?.unwrap_or(2000u32);
+    Ok(if quick {
+        (
+            StudyConfig::quick_test(Seed(seed)),
+            format!("quick study (seed {seed})"),
+        )
+    } else {
+        (
+            StudyConfig::paper(Seed(seed), UniverseConfig::at_scale(scale)),
+            format!("study (seed {seed}, scale 1:{scale})"),
+        )
+    })
+}
+
 fn cmd_study(args: &[String]) -> Result<(), String> {
-    let seed = flag_value(args, "--seed")
-        .map(|v| v.parse().map_err(|e| format!("bad --seed: {e}")))
-        .transpose()?
-        .unwrap_or(2020u64);
-    let scale = flag_value(args, "--scale")
-        .map(|v| v.parse().map_err(|e| format!("bad --scale: {e}")))
-        .transpose()?
-        .unwrap_or(2000u32);
+    let (config, label) = study_config(args, args.iter().any(|a| a == "--quick"))?;
     let out = PathBuf::from(flag_value(args, "--out").unwrap_or_else(|| ".".into()));
     let metrics_out = flag_value(args, "--metrics-out").map(PathBuf::from);
-    let quick = args.iter().any(|a| a == "--quick");
 
-    let config = if quick {
-        eprintln!("running quick study (seed {seed})…");
-        StudyConfig::quick_test(Seed(seed))
-    } else {
-        eprintln!("running study (seed {seed}, scale 1:{scale})…");
-        StudyConfig::paper(Seed(seed), UniverseConfig::at_scale(scale))
-    };
+    eprintln!("running {label}…");
     let study = Study::run(config);
 
     if let Some(path) = &metrics_out {
@@ -275,12 +290,9 @@ fn selftest_queries(seed: Seed, listed: &[u32], n: usize) -> Vec<u32> {
     let mut queries = Vec::with_capacity(n);
     let mut state = seed.fork("serve-selftest").0;
     for i in 0..n {
-        // splitmix64 step: the query log depends only on the seed.
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+        // SplitMix64 stream: the query log depends only on the seed.
+        state = state.wrapping_add(GOLDEN_GAMMA);
+        let z = mix64(state);
         if i % 2 == 0 && !listed.is_empty() {
             queries.push(listed[(z as usize) % listed.len()]);
         } else {
@@ -291,23 +303,11 @@ fn selftest_queries(seed: Seed, listed: &[u32], n: usize) -> Vec<u32> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let seed = flag_value(args, "--seed")
-        .map(|v| v.parse().map_err(|e| format!("bad --seed: {e}")))
-        .transpose()?
-        .unwrap_or(2020u64);
-    let scale = flag_value(args, "--scale")
-        .map(|v| v.parse().map_err(|e| format!("bad --scale: {e}")))
-        .transpose()?
-        .unwrap_or(2000u32);
-    let shards = flag_value(args, "--shards")
-        .map(|v| v.parse().map_err(|e| format!("bad --shards: {e}")))
-        .transpose()?
-        .unwrap_or(4usize);
-    let chaos = flag_value(args, "--chaos")
-        .map(|v| v.parse::<f64>().map_err(|e| format!("bad --chaos: {e}")))
-        .transpose()?;
     let selftest = args.iter().any(|a| a == "--selftest");
-    let quick = selftest || args.iter().any(|a| a == "--quick");
+    let (config, label) = study_config(args, selftest || args.iter().any(|a| a == "--quick"))?;
+    let seed = config.seed;
+    let shards = parsed_flag(args, "--shards")?.unwrap_or(4usize);
+    let chaos = parsed_flag::<f64>(args, "--chaos")?;
     let addr = flag_value(args, "--addr").unwrap_or_else(|| {
         if selftest {
             "127.0.0.1:0".into()
@@ -316,13 +316,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         }
     });
 
-    let config = if quick {
-        eprintln!("building snapshot from quick study (seed {seed})…");
-        StudyConfig::quick_test(Seed(seed))
-    } else {
-        eprintln!("building snapshot from study (seed {seed}, scale 1:{scale})…");
-        StudyConfig::paper(Seed(seed), UniverseConfig::at_scale(scale))
-    };
+    eprintln!("building snapshot from {label}…");
     let study = Study::run(config);
     let snapshot = address_reuse::reputation_snapshot(&study, 1, GreylistPolicy::default());
     let listed: Vec<u32> = snapshot.listed_addresses().as_raw().to_vec();
@@ -335,9 +329,12 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let obs = ar_obs::Obs::new();
     let mut options = ar_serve::ServeOptions::default();
     if let Some(intensity) = chaos {
-        eprintln!("chaos fault plan armed: seed {seed}, intensity {intensity}");
+        eprintln!(
+            "chaos fault plan armed: seed {}, intensity {intensity}",
+            seed.0
+        );
         options.faults = Some(ar_faults::ServeFaultPlan::new(
-            Seed(seed).fork("serve-chaos"),
+            seed.fork("serve-chaos"),
             intensity,
         ));
     }
@@ -347,11 +344,11 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     eprintln!("serving on {} with {shards} shard(s)", handle.addr());
 
     if selftest {
-        let queries = selftest_queries(Seed(seed), &listed, 1000);
+        let queries = selftest_queries(seed, &listed, 1000);
         // Under an armed chaos plan workers may panic mid-connection;
         // the seeded retry policy rides out the supervisor restarts.
         let policy = if chaos.is_some() {
-            ar_serve::RetryPolicy::resilient(Seed(seed).fork("selftest-retry"))
+            ar_serve::RetryPolicy::resilient(seed.fork("selftest-retry"))
         } else {
             ar_serve::RetryPolicy::off()
         };
@@ -410,9 +407,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
     let addr = flag_value(args, "--addr").unwrap_or_else(|| "127.0.0.1:4780".into());
-    let watch = flag_value(args, "--watch")
-        .map(|v| v.parse::<u64>().map_err(|e| format!("bad --watch: {e}")))
-        .transpose()?;
+    let watch = parsed_flag::<u64>(args, "--watch")?;
     let mut client =
         ar_serve::Client::connect(addr.parse().map_err(|e| format!("bad --addr: {e}"))?)
             .map_err(|e| format!("connect {addr}: {e}"))?;
@@ -456,25 +451,8 @@ fn store_ingest(dir: &std::path::Path, args: &[String]) -> Result<(), String> {
     use ar_blocklists::{daily_snapshots, encode_snapshot_record};
     use ar_store::{Column, SnapshotDelta, Store, StoreKey};
 
-    let seed = flag_value(args, "--seed")
-        .map(|v| v.parse().map_err(|e| format!("bad --seed: {e}")))
-        .transpose()?
-        .unwrap_or(2020u64);
-    let scale = flag_value(args, "--scale")
-        .map(|v| v.parse().map_err(|e| format!("bad --scale: {e}")))
-        .transpose()?
-        .unwrap_or(2000u32);
-    let day_cap = flag_value(args, "--days")
-        .map(|v| v.parse::<usize>().map_err(|e| format!("bad --days: {e}")))
-        .transpose()?
-        .unwrap_or(usize::MAX);
-    let quick = args.iter().any(|a| a == "--quick");
-
-    let mut config = if quick {
-        StudyConfig::quick_test(Seed(seed))
-    } else {
-        StudyConfig::paper(Seed(seed), UniverseConfig::at_scale(scale))
-    };
+    let (mut config, _) = study_config(args, args.iter().any(|a| a == "--quick"))?;
+    let day_cap = parsed_flag(args, "--days")?.unwrap_or(usize::MAX);
     config.store = Some(dir.join("study"));
     eprintln!("running study through the store at {}…", dir.display());
     let study = Study::run(config);

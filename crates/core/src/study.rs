@@ -44,8 +44,8 @@ use ar_blocklists::{
 };
 use ar_census::{run_census_with_faults, CensusReport, Classifier, SurveyConfig};
 use ar_crawler::{
-    crawl, crawl_sharded, crawl_until, resume, resume_until, CrawlConfig, CrawlReport, RetryPolicy,
-    Scope,
+    crawl, crawl_sharded, crawl_until, resume, resume_until, CrawlCheckpoint, CrawlConfig,
+    CrawlReport, RetryPolicy, Scope,
 };
 use ar_dht::{FaultyTransport, ShardedSimNetwork, SimNetwork, SimParams};
 use ar_faults::{FaultDomain, FaultPlan, FaultSpec};
@@ -829,50 +829,37 @@ fn crawl_period(
     let mut net = SimNetwork::new(universe, plan, SimParams::default());
     let mut transport = FaultyTransport::new(&mut net, fp, |ip| universe.asn_of(ip));
     let mut survived = 0usize;
-    let report = if outages.is_empty() {
-        crawl(&mut transport, &crawl_config)
-    } else {
-        let mut ckpt = crawl_until(&mut transport, &crawl_config, outages[0].crash_at);
-        ckpt.delay_resume(outages[0].downtime);
+    // Each outage the crawler is up for crashes it; the crawl resumes
+    // from the checkpoint once the downtime ends.
+    let mut ckpt: Option<CrawlCheckpoint> = None;
+    for o in &outages {
+        let mut next = match ckpt {
+            None => crawl_until(&mut transport, &crawl_config, o.crash_at),
+            // The crawler was still down when this one hit.
+            Some(ref c) if o.crash_at <= c.resume_at => continue,
+            Some(c) => resume_until(&mut transport, &crawl_config, c, o.crash_at),
+        };
+        next.delay_resume(o.downtime);
         obs.event(
             &phase,
             EventKind::CheckpointWritten,
-            Some(outages[0].crash_at.as_secs()),
+            Some(o.crash_at.as_secs()),
             1,
-            format!("crawler crashed, down {}s", outages[0].downtime.as_secs()),
+            format!("crawler crashed, down {}s", o.downtime.as_secs()),
         );
         obs.event(
             &phase,
             EventKind::CheckpointResumed,
-            Some(ckpt.resume_at.as_secs()),
+            Some(next.resume_at.as_secs()),
             1,
             String::new(),
         );
         survived += 1;
-        for o in &outages[1..] {
-            if o.crash_at <= ckpt.resume_at {
-                // The crawler was still down when this one hit.
-                continue;
-            }
-            ckpt = resume_until(&mut transport, &crawl_config, ckpt, o.crash_at);
-            ckpt.delay_resume(o.downtime);
-            obs.event(
-                &phase,
-                EventKind::CheckpointWritten,
-                Some(o.crash_at.as_secs()),
-                1,
-                format!("crawler crashed, down {}s", o.downtime.as_secs()),
-            );
-            obs.event(
-                &phase,
-                EventKind::CheckpointResumed,
-                Some(ckpt.resume_at.as_secs()),
-                1,
-                String::new(),
-            );
-            survived += 1;
-        }
-        resume(&mut transport, &crawl_config, ckpt)
+        ckpt = Some(next);
+    }
+    let report = match ckpt {
+        None => crawl(&mut transport, &crawl_config),
+        Some(c) => resume(&mut transport, &crawl_config, c),
     };
     let stats = transport.fault_stats;
     report.record_obs(obs, &phase);

@@ -7,7 +7,7 @@
 //! why the paper's NAT rule keys on *(port, node_id)* pairs observed
 //! simultaneously rather than on node IDs alone.
 
-use ar_simnet::rng::Rng;
+use ar_simnet::rng::{splitmix64, Rng, GOLDEN_GAMMA};
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -31,10 +31,10 @@ impl NodeId {
     /// clients seed their IDs (paper §3.1). Not a cryptographic hash — a
     /// well-mixed deterministic digest is all the simulation needs.
     pub fn from_ip_and_nonce(ip: Ipv4Addr, nonce: u64) -> NodeId {
-        let mut state = u64::from(u32::from(ip)) ^ nonce.rotate_left(17) ^ 0x9e37_79b9_7f4a_7c15;
+        let mut state = u64::from(u32::from(ip)) ^ nonce.rotate_left(17) ^ GOLDEN_GAMMA;
         let mut id = [0u8; 20];
         for chunk in id.chunks_mut(8) {
-            state = mix64(state);
+            state = splitmix64(state);
             let bytes = state.to_be_bytes();
             chunk.copy_from_slice(&bytes[..chunk.len()]);
         }
@@ -91,13 +91,6 @@ impl Distance {
     }
 
     pub const ZERO: Distance = Distance([0u8; 20]);
-}
-
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 impl fmt::Debug for NodeId {

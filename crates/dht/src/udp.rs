@@ -13,6 +13,7 @@
 use crate::node_id::NodeId;
 use crate::routing::{Contact, RoutingTable};
 use crate::wire::{KrpcError, Message, MessageBody, Query, Response};
+use ar_simnet::rng::{mix64, GOLDEN_GAMMA};
 use std::io;
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -37,10 +38,7 @@ struct NodeState {
 /// onto a secret"; the digest here is non-cryptographic, the *protocol
 /// flow* is what matters for the reproduction).
 fn token_for(ip: &Ipv4Addr, secret: u64) -> [u8; 8] {
-    let mut x = u64::from(u32::from(*ip)) ^ secret ^ 0x9e37_79b9_7f4a_7c15;
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    (x ^ (x >> 31)).to_be_bytes()
+    mix64(u64::from(u32::from(*ip)) ^ secret ^ GOLDEN_GAMMA).to_be_bytes()
 }
 
 /// Per-process token secret (stable for a node's lifetime).

@@ -8,6 +8,8 @@
 //! same decision point always lands the same way, and unrelated decision
 //! points are independent.
 
+use ar_simnet::rng::splitmix64;
+
 /// Fold a slice of words into one well-mixed hash.
 pub fn mix(parts: &[u64]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -27,13 +29,6 @@ pub fn unit(parts: &[u64]) -> f64 {
 /// A biased coin keyed by `parts`: true with probability `p`.
 pub fn flip(p: f64, parts: &[u64]) -> bool {
     p > 0.0 && unit(parts) < p
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

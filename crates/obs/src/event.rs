@@ -34,9 +34,6 @@ pub enum EventKind {
     /// `ar-lint` flagged a non-allowlisted invariant violation; the detail
     /// carries the rendered finding (path, rule, symbol, message).
     LintFinding,
-    /// A reputation query (or batch) was answered by `ar-serve`; the
-    /// count aggregates the queries served.
-    QueryServed,
     /// A new reputation snapshot was installed atomically; the detail
     /// carries the old and new generation numbers.
     SnapshotSwapped,
@@ -65,9 +62,6 @@ pub enum EventKind {
     SloRecovered,
     /// An `OP_STATS` probe was answered with a live telemetry frame.
     StatsServed,
-    /// The deterministic trace sampler captured a query's
-    /// admission→shard→verdict path; the count aggregates samples.
-    TraceSampled,
     /// A record was appended to the `ar-store` freezer; the count
     /// aggregates records written in one ingest.
     RecordFrozen,
@@ -99,7 +93,6 @@ impl EventKind {
             EventKind::PhaseDegraded => "phase_degraded",
             EventKind::PhaseFailed => "phase_failed",
             EventKind::LintFinding => "lint_finding",
-            EventKind::QueryServed => "query_served",
             EventKind::SnapshotSwapped => "snapshot_swapped",
             EventKind::FrameRejected => "frame_rejected",
             EventKind::ShardStarted => "shard_started",
@@ -110,7 +103,6 @@ impl EventKind {
             EventKind::SloBreach => "slo_breach",
             EventKind::SloRecovered => "slo_recovered",
             EventKind::StatsServed => "stats_served",
-            EventKind::TraceSampled => "trace_sampled",
             EventKind::RecordFrozen => "record_frozen",
             EventKind::StoreChecksumFailure => "store_checksum_failure",
             EventKind::DeltaApplied => "delta_applied",

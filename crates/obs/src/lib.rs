@@ -19,12 +19,11 @@
 //! `--metrics-out` ([`RunReport::to_json`], through the one [`json`]
 //! writer) and [`RunReport::render_md`] summarizes.
 //!
-//! For *live* services the cumulative registry is complemented by a
-//! windowed layer: [`WindowRing`] aggregates per-window metric deltas
-//! over a deterministic logical clock of query-ordinal ticks, and
+//! Two pieces serve *live* services: [`Obs::counters`] reads the counters
+//! alone, so a frequent scrape never copies the event log, and
 //! [`TraceSampler`] keeps a seeded, order-independent sample of
-//! [`TraceRecord`]s — both pure functions of the tick stream, never of
-//! wall time.
+//! [`TraceRecord`]s, a pure function of the query ordinals offered, never
+//! of wall time.
 //!
 //! ## Determinism contract
 //!
@@ -38,12 +37,10 @@ mod event;
 pub mod json;
 mod report;
 mod trace;
-mod window;
 
 pub use event::{Event, EventKind};
 pub use report::{BucketCount, HistogramSnapshot, PhaseHealth, RunReport, SpanSnapshot};
 pub use trace::{TraceRecord, TraceSampler};
-pub use window::{Window, WindowHistogram, WindowRing};
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -367,6 +364,22 @@ impl Obs {
         }
     }
 
+    /// Every counter's current value, sorted by name: the counter half of
+    /// [`Obs::report`], without copying the gauges, histograms, spans or
+    /// event log. Empty for a disabled handle.
+    pub fn counters(&self) -> BTreeMap<String, u64> {
+        let Some(inner) = &self.inner else {
+            return BTreeMap::new();
+        };
+        inner
+            .counters
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+            .map(|(k, v)| (k.clone(), v.load(Ordering::Acquire)))
+            .collect()
+    }
+
     /// Snapshot everything into a canonical [`RunReport`]: maps are sorted
     /// by name, spans by path, events by (phase, kind, time, detail), so
     /// the report is independent of publication order.
@@ -374,13 +387,7 @@ impl Obs {
         let Some(inner) = &self.inner else {
             return RunReport::default();
         };
-        let counters = inner
-            .counters
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|(k, v)| (k.clone(), v.load(Ordering::Acquire)))
-            .collect();
+        let counters = self.counters();
         let gauges = inner
             .gauges
             .lock()

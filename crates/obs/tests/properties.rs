@@ -1,79 +1,11 @@
-//! Property tests for the windowed telemetry layer.
-//!
-//! The load-bearing invariant: a [`WindowRing`] never loses a recorded
-//! delta — at every step, re-folding evicted + closed + open windows
-//! reproduces the independently maintained cumulative registry, across
-//! any wraparound pattern. Plus: the trace reservoir's bottom-k sample
-//! is a pure function of the offered ordinal *set*, never of offer
-//! order.
+//! Property tests for the trace sampler: the reservoir's bottom-k
+//! sample is a pure function of the offered ordinal *set*, never of offer
+//! order. (The serve telemetry ring's properties live beside the ring, in
+//! `ar-serve`'s `telemetry` unit tests.)
 
-use ar_obs::{TraceRecord, TraceSampler, WindowRing};
-use ar_simnet::prop::{check, vec, Rng, SmallRng, CASES};
+use ar_obs::{TraceRecord, TraceSampler};
+use ar_simnet::prop::{check, vec, Rng, CASES};
 use std::collections::BTreeSet;
-
-/// One scripted action against the ring.
-#[derive(Debug, Clone)]
-enum Op {
-    Add(u8, u64),
-    Observe(u8, u64),
-    Advance(u64),
-}
-
-fn arb_op(rng: &mut SmallRng) -> Op {
-    match rng.gen_range(0..3) {
-        0 => Op::Add(rng.gen::<u8>() % 4, rng.gen_range(0u64..1000)),
-        1 => Op::Observe(rng.gen::<u8>() % 4, rng.gen()),
-        _ => Op::Advance(rng.gen_range(0u64..64)),
-    }
-}
-
-fn counter_name(n: u8) -> String {
-    format!("c{n}")
-}
-
-/// Window deltas always sum to the cumulative registry, no matter
-/// how ticks advance or how small the ring is (forcing evictions).
-#[test]
-fn ring_refold_equals_cumulative() {
-    check("ring_refold_equals_cumulative", CASES, |rng| {
-        let ticks_per_window = rng.gen_range(1u64..16);
-        let capacity = rng.gen_range(1usize..5);
-        let ops = vec(rng, 1..200, arb_op);
-        let mut ring = WindowRing::new(ticks_per_window, capacity);
-        let mut tick = 0u64;
-        for op in ops {
-            match op {
-                Op::Add(n, v) => ring.add(&counter_name(n), v),
-                Op::Observe(n, v) => ring.observe(&counter_name(n), v),
-                Op::Advance(delta) => {
-                    tick += delta;
-                    ring.advance(tick);
-                }
-            }
-            let refold = ring.refold();
-            assert_eq!(&refold.counters, &ring.cumulative().counters);
-            assert_eq!(&refold.histograms, &ring.cumulative().histograms);
-        }
-    });
-}
-
-/// Merging per-window histogram deltas preserves count and sum
-/// exactly (the bucket fold is lossless).
-#[test]
-fn histogram_deltas_are_lossless() {
-    check("histogram_deltas_are_lossless", CASES, |rng| {
-        let values = vec(rng, 1..100, |r| r.gen_range(0u64..(1u64 << 32)));
-        let ticks_per_window = rng.gen_range(1u64..8);
-        let mut ring = WindowRing::new(ticks_per_window, 2);
-        for (i, v) in values.iter().enumerate() {
-            ring.observe("h", *v);
-            ring.advance(i as u64 + 1);
-        }
-        let total = &ring.refold().histograms["h"];
-        assert_eq!(total.count, values.len() as u64);
-        assert_eq!(total.sum, values.iter().sum::<u64>());
-    });
-}
 
 /// The bottom-k reservoir keeps the same sample for any permutation
 /// of the same ordinal set.

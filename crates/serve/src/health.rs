@@ -9,6 +9,7 @@
 //! is diagnosable from the RunReport alone.
 
 use ar_obs::{EventKind, Obs};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, PoisonError};
 
@@ -183,8 +184,10 @@ pub struct ServeHealthReport {
 }
 
 impl ServeHealthReport {
-    pub fn from_parts(probe: &HealthProbe, report: &ar_obs::RunReport) -> ServeHealthReport {
-        let counter = |name: &str| report.counters.get(name).copied().unwrap_or(0);
+    /// The probe plus the resilience counters out of `counters` (an
+    /// [`ar_obs::Obs::counters`] read; absent counters read as zero).
+    pub fn from_parts(probe: &HealthProbe, counters: &BTreeMap<String, u64>) -> ServeHealthReport {
+        let counter = |name: &str| counters.get(name).copied().unwrap_or(0);
         let rejected_malformed = counter("serve.frames_rejected.malformed");
         let rejected_oversized = counter("serve.frames_rejected.oversized");
         let rejected_truncated = counter("serve.frames_rejected.truncated");
@@ -287,7 +290,7 @@ mod tests {
         obs.add("serve.worker_panics", 2);
         obs.add("serve.worker_restarts", 2);
         obs.add("serve.frames_rejected.malformed", 3);
-        let report = ServeHealthReport::from_parts(&probe, &obs.report());
+        let report = ServeHealthReport::from_parts(&probe, &obs.counters());
         assert!(report.is_clean(), "{report:?}");
         assert!(report.render().contains("panics 2 / restarts 2"));
         // The aggregate is derived from the reasons, never read raw.
@@ -298,11 +301,11 @@ mod tests {
             reason: "pinned".into(),
             ..probe.clone()
         };
-        assert!(!ServeHealthReport::from_parts(&degraded, &obs.report()).is_clean());
+        assert!(!ServeHealthReport::from_parts(&degraded, &obs.counters()).is_clean());
 
         let unrecovered = Obs::new();
         unrecovered.add("serve.worker_panics", 1);
-        assert!(!ServeHealthReport::from_parts(&probe, &unrecovered.report()).is_clean());
+        assert!(!ServeHealthReport::from_parts(&probe, &unrecovered.counters()).is_clean());
     }
 
     #[test]
@@ -321,7 +324,7 @@ mod tests {
         // A stray raw aggregate (e.g. in an artifact written before the
         // counter became derived) must not double-count.
         obs.add("serve.frames_rejected", 999);
-        let report = ServeHealthReport::from_parts(&probe, &obs.report());
+        let report = ServeHealthReport::from_parts(&probe, &obs.counters());
         assert_eq!(report.frames_rejected, 17);
         assert_eq!(report.rejected_overloaded, 7);
         assert!(report

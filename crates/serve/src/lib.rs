@@ -16,9 +16,11 @@
 //! * [`client`] — the blocking wire client with a seeded retry policy;
 //! * [`chaos`] — serving-path fault injection hooks driven by
 //!   [`ar_faults::ServeFaultPlan`];
-//! * [`telemetry`] — the live telemetry plane: windowed metrics over a
-//!   logical query-ordinal clock, deterministic trace sampling, SLO
-//!   burn-rate tracking, and the [`StatsFrame`] scraped via `OP_STATS`.
+//! * [`telemetry`] — the live telemetry plane, one fixed shape behind one
+//!   lock: a ring of per-window counts over a logical query-ordinal
+//!   clock, deterministic trace sampling, SLO burn-rate tracking, and the
+//!   [`StatsFrame`] scraped via `OP_STATS`. Answered traffic is counted
+//!   in the `serve.*` registry counters, never logged per batch.
 //!
 //! ```
 //! use ar_blocklists::policy::GreylistPolicy;
@@ -52,5 +54,5 @@ pub use snapshot::{
     checksum_verdicts, encode_verdicts, fnv1a64, ListVerdict, ReputationSnapshot, SnapshotDefect,
     SnapshotInput, Verdict, VerdictClass,
 };
-pub use telemetry::{SloState, StatsFrame, TelemetryConfig, WindowSummary};
+pub use telemetry::{SloState, StatsFrame, WindowSummary};
 pub use wire::{Request, WireError, MAX_FRAME};

@@ -42,14 +42,13 @@
 use crate::chaos::{ChaosEvent, FaultInjector};
 use crate::health::{HealthCell, HealthProbe, HealthState, ServeHealthReport};
 use crate::snapshot::{ReputationSnapshot, SnapshotDefect, Verdict};
-use crate::telemetry::{BatchOrigin, StatsFrame, Telemetry, TelemetryConfig};
+use crate::telemetry::{BatchOrigin, StatsFrame, Telemetry};
 use crate::wire::{
     self, encode_error_response, encode_generation_response, encode_health_response,
     encode_overloaded_response, encode_query_response, encode_stats_response, Request, WireError,
 };
 use ar_faults::ServeFaultPlan;
 use ar_obs::{EventKind, Obs};
-use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -78,10 +77,6 @@ pub struct ServeOptions {
     pub stall_timeout: Duration,
     /// Serving-path fault plan (`None` or zero intensity = no injection).
     pub faults: Option<ServeFaultPlan>,
-    /// Live telemetry plane tuning (windows and tracing).
-    /// Observation-only: the verdict stream is byte-identical with
-    /// telemetry on or off.
-    pub telemetry: TelemetryConfig,
 }
 
 impl Default for ServeOptions {
@@ -90,7 +85,6 @@ impl Default for ServeOptions {
             queue_cap: 256,
             stall_timeout: Duration::from_secs(30),
             faults: None,
-            telemetry: TelemetryConfig::default(),
         }
     }
 }
@@ -136,7 +130,7 @@ impl ReputationServer {
         obs.set_gauge("serve.shards", shards as i64);
         obs.set_gauge("serve.health", i64::from(HealthState::Starting.code()));
         let chaos = FaultInjector::new(options.faults);
-        let telemetry = Telemetry::new(options.telemetry, shards);
+        let telemetry = Telemetry::new(shards);
         Arc::new(ReputationServer {
             current: RwLock::new(Arc::new(snapshot)),
             obs,
@@ -175,7 +169,7 @@ impl ReputationServer {
     /// `StudyHealth`-style rollup: the live probe plus the resilience
     /// counters out of this server's obs.
     pub fn health_report(&self) -> ServeHealthReport {
-        ServeHealthReport::from_parts(&self.health_probe(), &self.obs.report())
+        ServeHealthReport::from_parts(&self.health_probe(), &self.obs.counters())
     }
 
     /// Canonically sorted log of every fault injected so far (empty
@@ -336,13 +330,6 @@ impl ReputationServer {
         }
         self.obs
             .observe("serve.batch_micros", took.as_micros() as u64);
-        self.obs.event(
-            PHASE,
-            EventKind::QueryServed,
-            None,
-            verdicts.len() as u64,
-            "verdict batch answered",
-        );
     }
 
     /// Assemble one live telemetry scrape (what `OP_STATS` answers): the
@@ -351,13 +338,8 @@ impl ReputationServer {
     /// aggregate `serve.frames_rejected` is *derived* here as the sum of
     /// the per-reason `serve.frames_rejected.<reason>` counters.
     pub fn stats_frame(&self) -> StatsFrame {
-        let report = self.obs.report();
-        let mut counters: BTreeMap<String, u64> = report
-            .counters
-            .iter()
-            .filter(|(name, _)| name.starts_with("serve."))
-            .map(|(name, &v)| (name.clone(), v))
-            .collect();
+        let mut counters = self.obs.counters();
+        counters.retain(|name, _| name.starts_with("serve."));
         let rejected: u64 = REJECT_REASON_COUNTERS
             .iter()
             .filter_map(|name| counters.get(*name))
@@ -946,7 +928,24 @@ mod tests {
             + report.counters.get("serve.verdict.greylist").unwrap_or(&0)
             + report.counters.get("serve.verdict.unlisted").unwrap_or(&0);
         assert_eq!(classed, 500);
-        assert_eq!(report.event_counts["query_served"], 500);
+    }
+
+    /// Answered traffic is counted, not logged: ten times the batches
+    /// leave the event log exactly as long.
+    #[test]
+    fn serve_event_log_is_bounded() {
+        let events_after = |batches: u32| {
+            let server = ReputationServer::new(small_snapshot(1), 2, Obs::new());
+            for i in 0..batches {
+                server.verdict_batch(&[i * 7, i * 14, i]);
+            }
+            assert_eq!(
+                server.obs().report().counters["serve.queries"],
+                u64::from(batches) * 3
+            );
+            server.obs().report().events.len()
+        };
+        assert_eq!(events_after(200), events_after(2000));
     }
 
     #[test]

@@ -3,20 +3,21 @@
 //!
 //! The cumulative `ar-obs` registry answers "what did this run do" at
 //! exit; this module answers "what is the service doing *now*". It is
-//! strictly observation-only — the verdict stream is byte-identical with
-//! telemetry on or off, which the determinism suite pins — and it runs
-//! on a **logical clock**: the tick is the cumulative count of query
-//! ordinals admitted, never wall time (ar-lint R2). Everything here is
-//! a pure function of the tick stream, so two same-seed runs produce
-//! identical window sequences, trace logs and [`StatsFrame`]s at
-//! matching ticks.
+//! strictly observation-only — no verdict byte depends on it, which the
+//! determinism suite pins — and it runs on a **logical clock**: the tick
+//! is the cumulative count of query ordinals admitted, never wall time
+//! (ar-lint R2). Everything here is a pure function of the tick stream,
+//! so two same-seed runs produce identical window sequences, trace logs
+//! and [`StatsFrame`]s at matching ticks.
 //!
-//! Three instruments:
+//! Three instruments with one fixed shape, all behind one lock:
 //!
-//! * a [`WindowRing`] of per-window metric deltas (queries, sheds,
-//!   verdict classes, a batch-size log₂ histogram);
+//! * a ring of per-window counts — queries, sheds, batches and the three
+//!   verdict classes — over windows of 1024 ticks, keeping the 8 most
+//!   recent closed windows and the open one;
 //! * a [`TraceSampler`] capturing admission→shard→verdict
-//!   [`TraceRecord`]s by stride and seeded bottom-k reservoir;
+//!   [`TraceRecord`]s: every 128th ordinal, plus a bottom-k reservoir of
+//!   32 under a fixed seed;
 //! * an SLO tracker evaluating two error budgets (shed rate and
 //!   consecutive degraded windows) at every window close, emitting
 //!   `slo_breach` / `slo_recovered` events and annotating the health
@@ -26,9 +27,9 @@
 //! and scraped live by `bench_chaos`.
 
 use crate::health::{HealthCell, HealthState};
-use ar_obs::{EventKind, Obs, TraceRecord, TraceSampler, Window, WindowRing};
+use ar_obs::{EventKind, Obs, TraceRecord, TraceSampler};
 use ar_simnet::fnv::FnvHasher;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
@@ -36,15 +37,16 @@ use std::sync::{Mutex, PoisonError};
 /// this module free of a circular import).
 const PHASE: &str = "serve";
 
-/// Window counter names (also the per-window keys in OP_STATS frames).
-const W_QUERIES: &str = "queries";
-const W_SHED: &str = "shed";
-const W_BATCHES: &str = "batches";
-const W_BLOCK: &str = "block";
-const W_GREYLIST: &str = "greylist";
-const W_UNLISTED: &str = "unlisted";
-/// Batch-size histogram name inside each window.
-const H_BATCH: &str = "batch_len";
+/// Logical ticks (query ordinals) per window.
+const TICKS_PER_WINDOW: u64 = 1024;
+/// Closed windows retained in the ring.
+const WINDOW_CAPACITY: usize = 8;
+/// Trace stride: capture every ordinal divisible by this.
+const TRACE_EVERY: u64 = 128;
+/// Bottom-k trace reservoir capacity.
+const TRACE_RESERVOIR: usize = 32;
+/// Seed for the reservoir priorities.
+const TRACE_SEED: u64 = 0xA11CE;
 
 /// Shed budget, evaluated at every window close: breach when
 /// `1000 * shed / (queries + shed)` inside a closed window exceeds this.
@@ -52,48 +54,6 @@ const SHED_BUDGET_PERMILLE: u32 = 50;
 /// Degraded-time budget: breach after this many *consecutive* closed
 /// windows with the health machine in `Degraded`.
 const DEGRADED_BUDGET_WINDOWS: u32 = 2;
-
-/// Telemetry-plane tuning. Defaults keep every instrument on; the SLO
-/// budgets are loose enough that a healthy workload never breaches.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TelemetryConfig {
-    /// Master switch; off turns every hook into a no-op (OP_STATS still
-    /// answers, with an empty frame).
-    pub enabled: bool,
-    /// Logical ticks (query ordinals) per window.
-    pub ticks_per_window: u64,
-    /// Closed windows retained in the ring.
-    pub window_capacity: usize,
-    /// Trace stride: capture every Nth ordinal (0 = off).
-    pub trace_every: u64,
-    /// Bottom-k trace reservoir capacity (0 = off).
-    pub trace_reservoir: usize,
-    /// Seed for the reservoir priorities.
-    pub trace_seed: u64,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> TelemetryConfig {
-        TelemetryConfig {
-            enabled: true,
-            ticks_per_window: 1024,
-            window_capacity: 8,
-            trace_every: 128,
-            trace_reservoir: 32,
-            trace_seed: 0xA11CE,
-        }
-    }
-}
-
-impl TelemetryConfig {
-    /// Everything off: no windows, no traces, no SLO evaluation.
-    pub fn disabled() -> TelemetryConfig {
-        TelemetryConfig {
-            enabled: false,
-            ..TelemetryConfig::default()
-        }
-    }
-}
 
 /// Where a batch came from, for the trace record. The in-process batch
 /// API has no queue or connection; the TCP path fills everything in.
@@ -115,6 +75,48 @@ impl BatchOrigin {
     }
 }
 
+/// One window of counts: everything admitted while the logical clock was
+/// inside `[index * TICKS_PER_WINDOW, (index + 1) * TICKS_PER_WINDOW)`.
+/// A batch counts whole in the window its first ordinal falls in.
+#[derive(Debug, Clone, Copy, Default)]
+struct WindowCounts {
+    /// Window ordinal: `tick / TICKS_PER_WINDOW`. Idle spans produce no
+    /// window at all, so indices can skip.
+    index: u64,
+    queries: u64,
+    shed: u64,
+    batches: u64,
+    block: u64,
+    greylist: u64,
+    unlisted: u64,
+}
+
+impl WindowCounts {
+    /// The wire form. The counter map lists exactly the nonzero counts.
+    /// Every batch adds its length to `queries` and one to `batches`, so
+    /// those two are also the window's batch-size count and sum.
+    fn summary(&self) -> WindowSummary {
+        let counters = [
+            ("batches", self.batches),
+            ("block", self.block),
+            ("greylist", self.greylist),
+            ("queries", self.queries),
+            ("shed", self.shed),
+            ("unlisted", self.unlisted),
+        ]
+        .into_iter()
+        .filter(|&(_, n)| n > 0)
+        .map(|(name, n)| (name.to_string(), n))
+        .collect();
+        WindowSummary {
+            index: self.index,
+            counters,
+            batch_count: self.batches,
+            batch_sum: self.queries,
+        }
+    }
+}
+
 /// Running SLO state (the wire-visible half lives in [`SloState`]).
 #[derive(Debug, Default)]
 struct SloTracker {
@@ -126,6 +128,66 @@ struct SloTracker {
     consecutive_degraded: u32,
 }
 
+impl SloTracker {
+    /// Evaluate every budget against one closed window.
+    fn evaluate(&mut self, obs: &Obs, health: &HealthCell, window: &WindowCounts) {
+        let admitted = window.queries + window.shed;
+        let shed_permille = window
+            .shed
+            .saturating_mul(1000)
+            .checked_div(admitted)
+            .unwrap_or(0) as u32;
+        self.windows_evaluated += 1;
+        self.last_shed_permille = shed_permille;
+        if health.state() == HealthState::Degraded {
+            self.consecutive_degraded += 1;
+        } else {
+            self.consecutive_degraded = 0;
+        }
+
+        let mut burns: Vec<String> = Vec::new();
+        if shed_permille > SHED_BUDGET_PERMILLE {
+            burns.push(format!(
+                "shed {shed_permille}‰ > budget {SHED_BUDGET_PERMILLE}‰"
+            ));
+        }
+        if self.consecutive_degraded > DEGRADED_BUDGET_WINDOWS {
+            burns.push(format!(
+                "degraded for {} windows > budget {DEGRADED_BUDGET_WINDOWS}",
+                self.consecutive_degraded
+            ));
+        }
+
+        let breach_now = !burns.is_empty();
+        if breach_now && !self.breached {
+            self.breached = true;
+            self.breaches += 1;
+            let detail = format!("window {}: {}", window.index, burns.join("; "));
+            obs.add("serve.slo_breaches", 1);
+            obs.event(PHASE, EventKind::SloBreach, None, 1, detail.clone());
+            annotate_health(obs, health, &format!("breach: {detail}"));
+        } else if !breach_now && self.breached {
+            self.breached = false;
+            self.recoveries += 1;
+            let detail = format!("window {}: budgets back under control", window.index);
+            obs.add("serve.slo_recoveries", 1);
+            obs.event(PHASE, EventKind::SloRecovered, None, 1, detail.clone());
+            annotate_health(obs, health, &format!("recovered: {detail}"));
+        }
+    }
+
+    fn state(&self) -> SloState {
+        SloState {
+            breached: self.breached,
+            breaches: self.breaches,
+            recoveries: self.recoveries,
+            windows_evaluated: self.windows_evaluated,
+            last_shed_permille: self.last_shed_permille,
+            shed_budget_permille: SHED_BUDGET_PERMILLE,
+        }
+    }
+}
+
 /// Wire-visible SLO summary inside a [`StatsFrame`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SloState {
@@ -135,27 +197,13 @@ pub struct SloState {
     pub windows_evaluated: u64,
     /// Shed permille measured in the last evaluated window.
     pub last_shed_permille: u32,
-    /// The configured shed budget, echoed so scrapers can render
-    /// burn rate without knowing the server's config.
+    /// The shed budget, echoed so scrapers can render burn rate without
+    /// knowing the server's constants.
     pub shed_budget_permille: u32,
 }
 
-impl SloState {
-    /// Zero state for a server with telemetry off.
-    pub fn idle() -> SloState {
-        SloState {
-            breached: false,
-            breaches: 0,
-            recoveries: 0,
-            windows_evaluated: 0,
-            last_shed_permille: 0,
-            shed_budget_permille: 0,
-        }
-    }
-}
-
-/// One retained window as exported over the wire: its index, counters,
-/// and the batch-size histogram delta folded to (count, sum).
+/// One retained window as exported over the wire: its index, its nonzero
+/// counters, and its batch count and summed batch length.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowSummary {
     pub index: u64,
@@ -165,20 +213,6 @@ pub struct WindowSummary {
 }
 
 impl WindowSummary {
-    fn from_window(w: &Window) -> WindowSummary {
-        let (batch_count, batch_sum) = w
-            .histograms
-            .get(H_BATCH)
-            .map(|h| (h.count, h.sum))
-            .unwrap_or((0, 0));
-        WindowSummary {
-            index: w.index,
-            counters: w.counters.clone(),
-            batch_count,
-            batch_sum,
-        }
-    }
-
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
     }
@@ -224,8 +258,8 @@ impl StatsFrame {
             self.health_state,
             depths.join(","),
             last.map_or(0, |w| w.index),
-            last.map_or(0, |w| w.counter(W_QUERIES)),
-            last.map_or(0, |w| w.counter(W_SHED)),
+            last.map_or(0, |w| w.counter("queries")),
+            last.map_or(0, |w| w.counter("shed")),
             if self.slo.breached { "BREACHED" } else { "ok" },
             self.slo.breaches,
             self.slo.windows_evaluated,
@@ -235,50 +269,69 @@ impl StatsFrame {
     }
 }
 
-/// The server-side telemetry plane. All hooks are cheap no-ops when the
-/// config is disabled; enabled, every mutation happens under one short
-/// mutex keyed by the ring so tick assignment and window accounting stay
-/// atomic with respect to each other.
+/// Everything the telemetry hooks mutate, behind [`Telemetry`]'s one lock
+/// so tick assignment, window accounting, trace offers and SLO
+/// evaluation happen in tick order.
+struct Plane {
+    /// Logical clock: every answered query and every shed admission takes
+    /// one ordinal.
+    tick: u64,
+    open: WindowCounts,
+    /// Closed windows, oldest first; never longer than `WINDOW_CAPACITY`.
+    closed: VecDeque<WindowCounts>,
+    tracer: TraceSampler,
+    slo: SloTracker,
+}
+
+impl Plane {
+    /// Move the clock `ticks` ordinals forward. Crossing a window
+    /// boundary closes the open window, evicting the oldest closed one
+    /// beyond capacity, and returns it: the SLO evaluation edge.
+    fn advance(&mut self, ticks: u64) -> Option<WindowCounts> {
+        self.tick += ticks;
+        let index = self.tick / TICKS_PER_WINDOW;
+        if index == self.open.index {
+            return None;
+        }
+        let closed = std::mem::replace(
+            &mut self.open,
+            WindowCounts {
+                index,
+                ..WindowCounts::default()
+            },
+        );
+        if self.closed.len() == WINDOW_CAPACITY {
+            self.closed.pop_front();
+        }
+        self.closed.push_back(closed);
+        Some(closed)
+    }
+}
+
+/// The server-side telemetry plane: the ring, the trace sampler and the
+/// SLO tracker under one mutex, plus lock-free per-shard queue depths
+/// that the acceptor and the workers update outside it.
 pub(crate) struct Telemetry {
-    config: TelemetryConfig,
-    /// Mirror of the ring's tick for lock-free reads.
-    tick: AtomicU64,
-    ring: Mutex<WindowRing>,
-    tracer: Mutex<TraceSampler>,
-    slo: Mutex<SloTracker>,
+    plane: Mutex<Plane>,
     queue_depths: Vec<AtomicU64>,
 }
 
 impl Telemetry {
-    pub(crate) fn new(config: TelemetryConfig, shards: usize) -> Telemetry {
+    pub(crate) fn new(shards: usize) -> Telemetry {
         Telemetry {
-            config,
-            tick: AtomicU64::new(0),
-            ring: Mutex::new(WindowRing::new(
-                config.ticks_per_window,
-                config.window_capacity,
-            )),
-            tracer: Mutex::new(TraceSampler::new(
-                config.trace_every,
-                config.trace_reservoir,
-                config.trace_seed,
-            )),
-            slo: Mutex::new(SloTracker::default()),
+            plane: Mutex::new(Plane {
+                tick: 0,
+                open: WindowCounts::default(),
+                closed: VecDeque::new(),
+                tracer: TraceSampler::new(TRACE_EVERY, TRACE_RESERVOIR, TRACE_SEED),
+                slo: SloTracker::default(),
+            }),
             queue_depths: (0..shards.max(1)).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
-    /// Current logical tick (cumulative query ordinals).
-    #[cfg(test)]
-    pub(crate) fn tick(&self) -> u64 {
-        self.tick.load(Ordering::Acquire)
-    }
-
     /// A connection entered a shard's admission queue.
     pub(crate) fn queue_entered(&self, shard: usize) {
-        if !self.config.enabled {
-            return;
-        }
         if let Some(depth) = self.queue_depths.get(shard) {
             // AcqRel pairs with the Acquire loads in stats_frame (R6):
             // OP_STATS serializes these depths from another thread.
@@ -289,9 +342,6 @@ impl Telemetry {
     /// A worker picked a connection out of its queue; returns the depth
     /// observed *including* the departing entry.
     pub(crate) fn queue_left(&self, shard: usize) -> u64 {
-        if !self.config.enabled {
-            return 0;
-        }
         match self.queue_depths.get(shard) {
             Some(depth) => {
                 // Saturate at zero: a shed path may have raced the undo.
@@ -306,7 +356,7 @@ impl Telemetry {
     }
 
     /// Record one answered batch: advance the logical clock by the batch
-    /// length, account the window deltas, offer a trace record, and
+    /// length, count it in the open window, offer a trace record, and
     /// evaluate the SLO budgets if a window closed. `verdict_classes`
     /// counts the batch's block, greylist and unlisted verdicts, so they
     /// sum to its length.
@@ -320,34 +370,22 @@ impl Telemetry {
     ) {
         let (block, greylist, unlisted) = verdict_classes;
         let batch_len = block + greylist + unlisted;
-        if !self.config.enabled || batch_len == 0 {
+        if batch_len == 0 {
             return;
         }
-        let (tick, closed) = {
-            let mut ring = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
-            let tick = ring.tick() + batch_len;
-            ring.add(W_QUERIES, batch_len);
-            ring.add(W_BATCHES, 1);
-            if block > 0 {
-                ring.add(W_BLOCK, block);
-            }
-            if greylist > 0 {
-                ring.add(W_GREYLIST, greylist);
-            }
-            if unlisted > 0 {
-                ring.add(W_UNLISTED, unlisted);
-            }
-            ring.observe(H_BATCH, batch_len);
-            let closed = ring.advance(tick);
-            self.tick.store(tick, Ordering::Release);
-            (tick, closed)
-        };
-        self.trace(
+        self.admit(
             obs,
-            TraceRecord {
-                // Ordinal of the batch's first query: stable under any
-                // batch split because ticks count queries, not batches.
-                ordinal: tick - batch_len,
+            health,
+            batch_len,
+            |w| {
+                w.queries += batch_len;
+                w.batches += 1;
+                w.block += block;
+                w.greylist += greylist;
+                w.unlisted += unlisted;
+            },
+            |ordinal| TraceRecord {
+                ordinal,
                 shard: origin.shard,
                 generation,
                 queue_depth: origin.queue_depth,
@@ -356,29 +394,18 @@ impl Telemetry {
                 fault: origin.fault.clone(),
             },
         );
-        if let Some(window) = closed {
-            self.evaluate_slo(obs, health, &window);
-        }
     }
 
     /// Record one shed admission: a shed consumes one ordinal so the
     /// window sees it, and is traced with outcome `shed`.
     pub(crate) fn on_shed(&self, obs: &Obs, health: &HealthCell, shard: u32) {
-        if !self.config.enabled {
-            return;
-        }
-        let (tick, closed) = {
-            let mut ring = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
-            let tick = ring.tick() + 1;
-            ring.add(W_SHED, 1);
-            let closed = ring.advance(tick);
-            self.tick.store(tick, Ordering::Release);
-            (tick, closed)
-        };
-        self.trace(
+        self.admit(
             obs,
-            TraceRecord {
-                ordinal: tick - 1,
+            health,
+            1,
+            |w| w.shed += 1,
+            |ordinal| TraceRecord {
+                ordinal,
                 shard,
                 generation: 0,
                 queue_depth: self
@@ -390,79 +417,30 @@ impl Telemetry {
                 fault: None,
             },
         );
-        if let Some(window) = closed {
-            self.evaluate_slo(obs, health, &window);
-        }
     }
 
-    fn trace(&self, obs: &Obs, record: TraceRecord) {
-        let captured = self
-            .tracer
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .offer(record);
-        if captured {
+    /// Admit `ticks` ordinals under the plane lock: `count` adds them to
+    /// the open window, the clock advances, `record` builds the trace
+    /// offer from the admission's first ordinal (stable under any batch
+    /// split, because ticks count queries, not batches), and a window
+    /// the advance closed is evaluated against the SLO budgets.
+    fn admit(
+        &self,
+        obs: &Obs,
+        health: &HealthCell,
+        ticks: u64,
+        count: impl FnOnce(&mut WindowCounts),
+        record: impl FnOnce(u64) -> TraceRecord,
+    ) {
+        let mut plane = self.plane.lock().unwrap_or_else(PoisonError::into_inner);
+        let ordinal = plane.tick;
+        count(&mut plane.open);
+        let closed = plane.advance(ticks);
+        if plane.tracer.offer(record(ordinal)) {
             obs.add("serve.traces_sampled", 1);
-            obs.event(PHASE, EventKind::TraceSampled, None, 1, "trace captured");
         }
-    }
-
-    /// Evaluate every budget against one closed window.
-    fn evaluate_slo(&self, obs: &Obs, health: &HealthCell, window: &Window) {
-        let queries = window.counter(W_QUERIES);
-        let shed = window.counter(W_SHED);
-        let admitted = queries + shed;
-        let shed_permille = shed.saturating_mul(1000).checked_div(admitted).unwrap_or(0) as u32;
-
-        let mut slo = self.slo.lock().unwrap_or_else(PoisonError::into_inner);
-        slo.windows_evaluated += 1;
-        slo.last_shed_permille = shed_permille;
-        if health.state() == HealthState::Degraded {
-            slo.consecutive_degraded += 1;
-        } else {
-            slo.consecutive_degraded = 0;
-        }
-
-        let mut burns: Vec<String> = Vec::new();
-        if shed_permille > SHED_BUDGET_PERMILLE {
-            burns.push(format!(
-                "shed {shed_permille}‰ > budget {SHED_BUDGET_PERMILLE}‰"
-            ));
-        }
-        if slo.consecutive_degraded > DEGRADED_BUDGET_WINDOWS {
-            burns.push(format!(
-                "degraded for {} windows > budget {DEGRADED_BUDGET_WINDOWS}",
-                slo.consecutive_degraded
-            ));
-        }
-
-        let breach_now = !burns.is_empty();
-        if breach_now && !slo.breached {
-            slo.breached = true;
-            slo.breaches += 1;
-            let detail = format!("window {}: {}", window.index, burns.join("; "));
-            obs.add("serve.slo_breaches", 1);
-            obs.event(PHASE, EventKind::SloBreach, None, 1, detail.clone());
-            annotate_health(obs, health, &format!("breach: {detail}"));
-        } else if !breach_now && slo.breached {
-            slo.breached = false;
-            slo.recoveries += 1;
-            let detail = format!("window {}: budgets back under control", window.index);
-            obs.add("serve.slo_recoveries", 1);
-            obs.event(PHASE, EventKind::SloRecovered, None, 1, detail.clone());
-            annotate_health(obs, health, &format!("recovered: {detail}"));
-        }
-    }
-
-    fn slo_state(&self) -> SloState {
-        let slo = self.slo.lock().unwrap_or_else(PoisonError::into_inner);
-        SloState {
-            breached: slo.breached,
-            breaches: slo.breaches,
-            recoveries: slo.recoveries,
-            windows_evaluated: slo.windows_evaluated,
-            last_shed_permille: slo.last_shed_permille,
-            shed_budget_permille: SHED_BUDGET_PERMILLE,
+        if let Some(window) = closed {
+            plane.slo.evaluate(obs, health, &window);
         }
     }
 
@@ -475,38 +453,10 @@ impl Telemetry {
         health_state: HealthState,
         counters: BTreeMap<String, u64>,
     ) -> StatsFrame {
-        if !self.config.enabled {
-            return StatsFrame {
-                tick: 0,
-                generation,
-                health_state,
-                queue_depths: vec![0; self.queue_depths.len()],
-                counters,
-                windows: Vec::new(),
-                slo: SloState::idle(),
-                trace_count: 0,
-                trace_digest: 0,
-            };
-        }
-        let (tick, windows) = {
-            let ring = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
-            let windows = ring
-                .windows()
-                .into_iter()
-                .map(WindowSummary::from_window)
-                .collect();
-            (ring.tick(), windows)
-        };
-        let (trace_count, trace_digest) = {
-            let log = self
-                .tracer
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .canonical_log();
-            (log.len() as u64, trace_log_digest(&log))
-        };
+        let plane = self.plane.lock().unwrap_or_else(PoisonError::into_inner);
+        let log = plane.tracer.canonical_log();
         StatsFrame {
-            tick,
+            tick: plane.tick,
             generation,
             health_state,
             queue_depths: self
@@ -515,21 +465,24 @@ impl Telemetry {
                 .map(|d| d.load(Ordering::Acquire))
                 .collect(),
             counters,
-            windows,
-            slo: self.slo_state(),
-            trace_count,
-            trace_digest,
+            windows: plane
+                .closed
+                .iter()
+                .chain([&plane.open])
+                .map(WindowCounts::summary)
+                .collect(),
+            slo: plane.slo.state(),
+            trace_count: log.len() as u64,
+            trace_digest: trace_log_digest(&log),
         }
     }
 
     /// The canonical trace log (sorted by ordinal, deduplicated).
     pub(crate) fn trace_log(&self) -> Vec<TraceRecord> {
-        if !self.config.enabled {
-            return Vec::new();
-        }
-        self.tracer
+        self.plane
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
+            .tracer
             .canonical_log()
     }
 }
@@ -587,57 +540,65 @@ fn encode_trace_record(out: &mut Vec<u8>, r: &TraceRecord) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ar_simnet::prop::{check, vec, Rng, SmallRng, CASES};
 
-    fn telemetry(ticks_per_window: u64) -> (Telemetry, Obs, HealthCell) {
-        let config = TelemetryConfig {
-            ticks_per_window,
-            window_capacity: 4,
-            trace_every: 4,
-            trace_reservoir: 8,
-            ..TelemetryConfig::default()
-        };
-        (
-            Telemetry::new(config, 2),
-            Obs::new(),
-            HealthCell::starting(1),
-        )
+    fn telemetry() -> (Telemetry, Obs, HealthCell) {
+        (Telemetry::new(2), Obs::new(), HealthCell::starting(1))
     }
 
     fn served(t: &Telemetry, obs: &Obs, health: &HealthCell, batch: u64) {
         t.on_batch(obs, health, &BatchOrigin::in_process(), (batch, 0, 0), 1);
     }
 
+    fn frame(t: &Telemetry) -> StatsFrame {
+        t.stats_frame(1, HealthState::Serving, BTreeMap::new())
+    }
+
     #[test]
     fn ticks_count_queries_and_windows_accumulate() {
-        let (t, obs, health) = telemetry(10);
+        let (t, obs, health) = telemetry();
         for _ in 0..5 {
-            served(&t, &obs, &health, 4);
+            served(&t, &obs, &health, 1000);
         }
-        assert_eq!(t.tick(), 20);
-        let frame = t.stats_frame(1, HealthState::Serving, BTreeMap::new());
-        assert_eq!(frame.tick, 20);
-        let total: u64 = frame.windows.iter().map(|w| w.counter(W_QUERIES)).sum();
-        assert_eq!(total, 20);
-        assert_eq!(frame.windows.iter().map(|w| w.batch_count).sum::<u64>(), 5);
+        let stats = frame(&t);
+        assert_eq!(stats.tick, 5000);
+        let total: u64 = stats.windows.iter().map(|w| w.counter("queries")).sum();
+        assert_eq!(total, 5000);
+        assert_eq!(stats.windows.iter().map(|w| w.batch_count).sum::<u64>(), 5);
+    }
+
+    #[test]
+    fn windows_close_on_boundary_and_keep_indices() {
+        let (t, obs, health) = telemetry();
+        let indices =
+            |t: &Telemetry| -> Vec<u64> { frame(t).windows.iter().map(|w| w.index).collect() };
+        served(&t, &obs, &health, 1000);
+        assert_eq!(indices(&t), [0], "still inside window 0");
+        served(&t, &obs, &health, 100);
+        assert_eq!(indices(&t), [0, 1]);
+        // A batch counts whole in the window it started in.
+        assert_eq!(frame(&t).windows[0].counter("queries"), 1100);
+        // A batch spanning idle windows opens the right one, no filler.
+        served(&t, &obs, &health, 8 * TICKS_PER_WINDOW);
+        assert_eq!(indices(&t), [0, 1, 9]);
+        assert_eq!(frame(&t).windows[1].batch_sum, 8 * TICKS_PER_WINDOW);
     }
 
     #[test]
     fn shed_storm_breaches_and_recovery_follows() {
-        let (t, obs, health) = telemetry(10);
-        // Window of sheds only: 1000‰ shed rate blows the 50‰ budget.
-        for _ in 0..10 {
+        let (t, obs, health) = telemetry();
+        // A window of sheds only: 1000‰ shed rate blows the 50‰ budget.
+        for _ in 0..TICKS_PER_WINDOW {
             t.on_shed(&obs, &health, 0);
         }
-        let frame = t.stats_frame(1, HealthState::Serving, BTreeMap::new());
-        assert!(frame.slo.breached, "{frame:?}");
-        assert_eq!(frame.slo.breaches, 1);
+        let stats = frame(&t);
+        assert!(stats.slo.breached, "{stats:?}");
+        assert_eq!(stats.slo.breaches, 1);
         // A clean window recovers.
-        for _ in 0..10 {
-            served(&t, &obs, &health, 1);
-        }
-        let frame = t.stats_frame(1, HealthState::Serving, BTreeMap::new());
-        assert!(!frame.slo.breached);
-        assert_eq!(frame.slo.recoveries, 1);
+        served(&t, &obs, &health, TICKS_PER_WINDOW);
+        let stats = frame(&t);
+        assert!(!stats.slo.breached);
+        assert_eq!(stats.slo.recoveries, 1);
         let report = obs.report();
         assert_eq!(report.event_counts["slo_breach"], 1);
         assert_eq!(report.event_counts["slo_recovered"], 1);
@@ -653,32 +614,147 @@ mod tests {
 
     #[test]
     fn degraded_windows_burn_their_own_budget() {
-        let (t, obs, health) = telemetry(5);
+        let (t, obs, health) = telemetry();
         health.transition(&obs, HealthState::Degraded, "pinned");
         // Budget is 2 consecutive degraded windows; the third breaches.
         for _ in 0..3 {
-            for _ in 0..5 {
-                served(&t, &obs, &health, 1);
-            }
+            served(&t, &obs, &health, TICKS_PER_WINDOW);
         }
-        let frame = t.stats_frame(1, HealthState::Degraded, BTreeMap::new());
-        assert!(frame.slo.breached, "{frame:?}");
+        let stats = t.stats_frame(1, HealthState::Degraded, BTreeMap::new());
+        assert!(stats.slo.breached, "{stats:?}");
         assert!(health.reason().contains("degraded for 3 windows"));
     }
 
+    /// One scripted admission for the ring properties.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        /// An answered batch: its block, greylist and unlisted verdicts.
+        Batch(u64, u64, u64),
+        Shed,
+    }
+
+    fn arb_op(rng: &mut SmallRng) -> Op {
+        // Mostly batches well inside a window, some spanning several.
+        let max = [1u64, 64, 1500][rng.gen_range(0..3)];
+        match rng.gen_range(0..4) {
+            0 => Op::Shed,
+            _ => Op::Batch(
+                rng.gen_range(0..max),
+                rng.gen_range(0..max),
+                rng.gen_range(0..max),
+            ),
+        }
+    }
+
+    fn window(index: u64) -> WindowSummary {
+        WindowSummary {
+            index,
+            counters: BTreeMap::new(),
+            batch_count: 0,
+            batch_sum: 0,
+        }
+    }
+
+    /// The ring's oracle: every window's deltas, accumulated from the
+    /// admissions the test fed, never from state the ring keeps.
+    #[derive(Default)]
+    struct Fed {
+        tick: u64,
+        windows: BTreeMap<u64, WindowSummary>,
+    }
+
+    impl Fed {
+        fn feed(&mut self, op: Op) {
+            let (ticks, counts) = match op {
+                Op::Batch(b, g, u) => (
+                    b + g + u,
+                    vec![
+                        ("queries", b + g + u),
+                        ("batches", 1),
+                        ("block", b),
+                        ("greylist", g),
+                        ("unlisted", u),
+                    ],
+                ),
+                Op::Shed => (1, vec![("shed", 1)]),
+            };
+            if ticks == 0 {
+                return;
+            }
+            // The whole admission counts in the window of its first ordinal.
+            let index = self.tick / TICKS_PER_WINDOW;
+            let w = self.windows.entry(index).or_insert_with(|| window(index));
+            for (name, n) in counts.into_iter().filter(|&(_, n)| n > 0) {
+                *w.counters.entry(name.to_string()).or_default() += n;
+            }
+            if let Op::Batch(..) = op {
+                w.batch_count += 1;
+                w.batch_sum += ticks;
+            }
+            self.tick += ticks;
+        }
+
+        /// The newest `WINDOW_CAPACITY` closed windows, oldest first,
+        /// then the open one.
+        fn retained(&self) -> Vec<WindowSummary> {
+            let open = self.tick / TICKS_PER_WINDOW;
+            let closed: Vec<&WindowSummary> = self.windows.range(..open).map(|(_, w)| w).collect();
+            closed[closed.len().saturating_sub(WINDOW_CAPACITY)..]
+                .iter()
+                .map(|&w| w.clone())
+                .chain([self.windows.get(&open).cloned().unwrap_or(window(open))])
+                .collect()
+        }
+    }
+
+    /// At every step, through any wraparound, the exported windows are
+    /// exactly the retained windows of the deltas fed: the same indices,
+    /// every nonzero count and no other, and each window's batch count
+    /// and summed batch length.
     #[test]
-    fn disabled_telemetry_is_inert() {
-        let t = Telemetry::new(TelemetryConfig::disabled(), 2);
-        let obs = Obs::new();
-        let health = HealthCell::starting(1);
-        served(&t, &obs, &health, 100);
-        t.on_shed(&obs, &health, 0);
-        assert_eq!(t.tick(), 0);
-        let frame = t.stats_frame(3, HealthState::Serving, BTreeMap::new());
-        assert_eq!(frame.tick, 0);
-        assert!(frame.windows.is_empty());
-        assert_eq!(frame.trace_count, 0);
-        assert!(!obs.report().counters.contains_key("serve.traces_sampled"));
+    fn retained_windows_hold_exactly_the_deltas_fed() {
+        check(
+            "retained_windows_hold_exactly_the_deltas_fed",
+            CASES,
+            |rng| {
+                let (t, health) = (Telemetry::new(2), HealthCell::starting(1));
+                let obs = Obs::disabled();
+                let mut fed = Fed::default();
+                for op in vec(rng, 1..200, arb_op) {
+                    match op {
+                        Op::Batch(b, g, u) => {
+                            t.on_batch(&obs, &health, &BatchOrigin::in_process(), (b, g, u), 1)
+                        }
+                        Op::Shed => t.on_shed(&obs, &health, 0),
+                    }
+                    fed.feed(op);
+                    let stats = frame(&t);
+                    assert_eq!(stats.tick, fed.tick);
+                    assert_eq!(stats.windows, fed.retained(), "after {op:?}");
+                }
+            },
+        );
+    }
+
+    /// No batch is lost or counted twice across window closes and
+    /// evictions: scraped after every batch, the windows ever exported
+    /// hold every nonempty batch fed, once, with its whole length.
+    #[test]
+    fn batch_count_and_sum_are_the_batches_fed() {
+        check("batch_count_and_sum_are_the_batches_fed", CASES, |rng| {
+            let (t, obs, health) = telemetry();
+            let lens = vec(rng, 1..100, |r| r.gen_range(0..4 * TICKS_PER_WINDOW));
+            let mut exported: BTreeMap<u64, WindowSummary> = BTreeMap::new();
+            for &len in &lens {
+                served(&t, &obs, &health, len);
+                exported.extend(frame(&t).windows.into_iter().map(|w| (w.index, w)));
+            }
+            let batches = lens.iter().filter(|&&len| len > 0).count() as u64;
+            let count: u64 = exported.values().map(|w| w.batch_count).sum();
+            let sum: u64 = exported.values().map(|w| w.batch_sum).sum();
+            assert_eq!(count, batches);
+            assert_eq!(sum, lens.iter().sum::<u64>());
+        });
     }
 
     #[test]

@@ -725,7 +725,14 @@ mod tests {
             queue_depths: Vec::new(),
             counters: BTreeMap::new(),
             windows: Vec::new(),
-            slo: SloState::idle(),
+            slo: SloState {
+                breached: false,
+                breaches: 0,
+                recoveries: 0,
+                windows_evaluated: 0,
+                last_shed_permille: 0,
+                shed_budget_permille: 50,
+            },
             trace_count: 0,
             trace_digest: 0,
         };

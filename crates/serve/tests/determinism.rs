@@ -9,7 +9,7 @@ use ar_obs::Obs;
 use ar_serve::{
     checksum_verdicts, encode_verdicts, Client, ReputationServer, ReputationSnapshot, SnapshotInput,
 };
-use ar_simnet::rng::Seed;
+use ar_simnet::rng::{mix64, Seed, GOLDEN_GAMMA};
 use std::net::TcpListener;
 
 /// Deterministic splitmix64 stream (no ambient entropy in tests either).
@@ -17,11 +17,8 @@ fn mix_stream(seed: Seed, label: &str, n: usize) -> Vec<u64> {
     let mut state = seed.fork(label).0;
     (0..n)
         .map(|_| {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
+            state = state.wrapping_add(GOLDEN_GAMMA);
+            mix64(state)
         })
         .collect()
 }

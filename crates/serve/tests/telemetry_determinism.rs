@@ -1,7 +1,9 @@
 //! The telemetry plane's own determinism contract:
 //!
-//! * telemetry (and trace sampling) on/off leaves the verdict stream
-//!   byte-identical — observation only, never interference;
+//! * the server's verdicts are byte-identical to the bare snapshot's —
+//!   telemetry and trace sampling observe, never interfere;
+//! * the encoded `OP_STATS` frames and the trace log of a fixed seeded
+//!   run are pinned;
 //! * two same-seed runs produce identical canonical trace logs and
 //!   byte-identical encoded `OP_STATS` frames at matching ticks, at any
 //!   shard count — the logical clock counts query ordinals, so nothing
@@ -9,24 +11,24 @@
 
 use ar_blocklists::policy::GreylistPolicy;
 use ar_blocklists::{build_catalog, ListId};
+use ar_faults::SnapshotFault;
 use ar_index::{IpSet, PrefixSet};
 use ar_obs::Obs;
+use ar_serve::telemetry::trace_log_digest;
 use ar_serve::wire::encode_stats_response;
 use ar_serve::{
-    checksum_verdicts, encode_verdicts, ReputationServer, ReputationSnapshot, ServeOptions,
-    SnapshotInput, TelemetryConfig,
+    checksum_verdicts, encode_verdicts, ReputationServer, ReputationSnapshot, SnapshotInput,
+    StatsFrame,
 };
-use ar_simnet::rng::Seed;
+use ar_simnet::fnv::FnvHasher;
+use ar_simnet::rng::{mix64, Seed, GOLDEN_GAMMA};
 
 fn mix_stream(seed: Seed, label: &str, n: usize) -> Vec<u64> {
     let mut state = seed.fork(label).0;
     (0..n)
         .map(|_| {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
+            state = state.wrapping_add(GOLDEN_GAMMA);
+            mix64(state)
         })
         .collect()
 }
@@ -69,57 +71,32 @@ fn query_log(n: usize) -> Vec<u32> {
         .collect()
 }
 
-/// Tight windows and aggressive tracing so a short run exercises window
-/// closes, ring eviction, and both sampling policies.
-fn tight_telemetry() -> TelemetryConfig {
-    TelemetryConfig {
-        ticks_per_window: 128,
-        window_capacity: 3,
-        trace_every: 16,
-        trace_reservoir: 8,
-        trace_seed: 42,
-        ..TelemetryConfig::default()
-    }
-}
-
 #[test]
 fn telemetry_on_or_off_leaves_the_verdict_stream_byte_identical() {
-    let queries = query_log(4_000);
-    let mut streams = Vec::new();
-    for telemetry in [
-        tight_telemetry(),
-        TelemetryConfig::disabled(),
-        // Tracing off, windows on: a third switch position.
-        TelemetryConfig {
-            trace_every: 0,
-            trace_reservoir: 0,
-            ..tight_telemetry()
-        },
-    ] {
-        let options = ServeOptions {
-            telemetry,
-            ..ServeOptions::default()
-        };
-        let server = ReputationServer::with_options(test_snapshot(1), 2, Obs::new(), options);
-        let verdicts = server.verdict_batch(&queries);
-        streams.push(encode_verdicts(&verdicts));
-    }
-    assert_eq!(streams[0], streams[1], "telemetry on vs off");
-    assert_eq!(streams[0], streams[2], "tracing on vs off");
+    // Enough batches to close and evict windows and fill both trace
+    // policies; the bare snapshot answers with no telemetry at all.
+    let queries = query_log(12_000);
+    let server = ReputationServer::new(test_snapshot(1), 2, Obs::new());
+    let served: Vec<_> = queries
+        .chunks(97)
+        .flat_map(|batch| server.verdict_batch(batch))
+        .collect();
+    let bare = test_snapshot(1);
+    let direct: Vec<_> = queries.iter().map(|&ip| bare.verdict(ip)).collect();
+    assert!(!server.trace_log().is_empty(), "tracing ran");
+    assert!(server.stats_frame().windows.len() > 8, "windows closed");
+    assert_eq!(encode_verdicts(&served), encode_verdicts(&direct));
 }
 
 #[test]
 fn same_seed_runs_produce_identical_traces_and_stats_frames() {
-    let queries = query_log(3_000);
+    // Long enough to wrap the window ring.
+    let queries = query_log(12_000);
 
     // One run: feed the query log in deterministic batches, capturing an
     // OP_STATS frame at fixed batch checkpoints.
     let run = |shards: usize| {
-        let options = ServeOptions {
-            telemetry: tight_telemetry(),
-            ..ServeOptions::default()
-        };
-        let server = ReputationServer::with_options(test_snapshot(1), shards, Obs::new(), options);
+        let server = ReputationServer::new(test_snapshot(1), shards, Obs::new());
         let mut checkpoints = Vec::new();
         let mut checksum = Vec::new();
         for (i, batch) in queries.chunks(97).enumerate() {
@@ -146,9 +123,8 @@ fn same_seed_runs_produce_identical_traces_and_stats_frames() {
         let (checksums2, traces2, frames2) = run(shards);
         assert_eq!(checksums, checksums2, "{shards} shards: rerun verdicts");
         assert_eq!(traces, traces2, "{shards} shards: rerun trace log");
-        let encode = |fs: &[ar_serve::StatsFrame]| -> Vec<Vec<u8>> {
-            fs.iter().map(encode_stats_response).collect()
-        };
+        let encode =
+            |fs: &[StatsFrame]| -> Vec<Vec<u8>> { fs.iter().map(encode_stats_response).collect() };
         assert_eq!(
             encode(&frames),
             encode(&frames2),
@@ -160,7 +136,7 @@ fn same_seed_runs_produce_identical_traces_and_stats_frames() {
         // the shard count by construction) are invariant.
         assert_eq!(checksums, baseline_checksums, "{shards} shards: verdicts");
         assert_eq!(traces, baseline_traces, "{shards} shards: trace log");
-        let flatten = |fs: &[ar_serve::StatsFrame]| -> Vec<ar_serve::StatsFrame> {
+        let flatten = |fs: &[StatsFrame]| -> Vec<StatsFrame> {
             fs.iter()
                 .map(|f| {
                     let mut f = f.clone();
@@ -178,18 +154,43 @@ fn same_seed_runs_produce_identical_traces_and_stats_frames() {
     }
 }
 
+/// The wire bytes of the telemetry plane, pinned: a default server
+/// answers a fixed seeded query log long enough to wrap the window ring,
+/// drops to `Degraded` on a rejected swap offer long enough to breach the
+/// degraded-time budget, recovers on a valid offer, and is scraped at
+/// fixed batch checkpoints. One FNV-1a over every encoded `OP_STATS`
+/// frame, then the trace-log digest, must never move.
+#[test]
+fn op_stats_frames_and_trace_log_are_pinned() {
+    let queries = query_log(12_000);
+    let server = ReputationServer::new(test_snapshot(1), 2, Obs::new());
+    let mut hasher = FnvHasher::new();
+    for (i, batch) in queries.chunks(97).enumerate() {
+        match i {
+            30 => assert!(server
+                .offer_swap(test_snapshot(2).sabotaged(SnapshotFault::CorruptPostings))
+                .is_err()),
+            80 => assert_eq!(server.offer_swap(test_snapshot(3)), Ok(1)),
+            _ => {}
+        }
+        server.verdict_batch(batch);
+        if i % 10 == 9 {
+            hasher.update(&encode_stats_response(&server.stats_frame()));
+        }
+    }
+    let last = server.stats_frame();
+    assert_eq!(last.tick, queries.len() as u64);
+    assert_eq!(last.windows.len(), 9, "8 closed windows and the open one");
+    assert_eq!((last.slo.breaches, last.slo.recoveries), (1, 1));
+    hasher.update(&encode_stats_response(&last));
+    hasher.update(&trace_log_digest(&server.trace_log()).to_be_bytes());
+    assert_eq!(hasher.finish(), 0xfe59_b887_852e_3a7e);
+}
+
 #[test]
 fn stats_frame_counters_match_the_run_report() {
-    let queries = query_log(2_000);
-    let server = ReputationServer::with_options(
-        test_snapshot(1),
-        2,
-        Obs::new(),
-        ServeOptions {
-            telemetry: tight_telemetry(),
-            ..ServeOptions::default()
-        },
-    );
+    let queries = query_log(12_000);
+    let server = ReputationServer::new(test_snapshot(1), 2, Obs::new());
     for batch in queries.chunks(61) {
         server.verdict_batch(batch);
     }
@@ -208,14 +209,14 @@ fn stats_frame_counters_match_the_run_report() {
             "{name}"
         );
     }
-    // Window deltas refold to the cumulative query count.
+    // The retained windows hold part of the cumulative query count.
     let windowed: u64 = frame.windows.iter().map(|w| w.counter("queries")).sum();
     let evicted = frame.tick - windowed;
     assert!(
-        frame.windows.len() <= 4,
-        "ring capacity 3 + open window, got {}",
+        frame.windows.len() <= 9,
+        "ring capacity 8 + open window, got {}",
         frame.windows.len()
     );
-    // With capacity 3 and ~2000 ticks at 128/window some windows evicted.
+    // With capacity 8 and 12000 ticks at 1024/window some windows evicted.
     assert!(evicted > 0, "the run must wrap the ring");
 }

@@ -50,10 +50,19 @@ pub fn fork_rng(seed: Seed, label: &str) -> SmallRng {
     seed.fork(label).rng()
 }
 
-const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+/// SplitMix64's increment: the odd constant nearest `2^64 / φ`.
+pub const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(GOLDEN_GAMMA);
+/// One SplitMix64 output: step `x` by [`GOLDEN_GAMMA`], then [`mix64`].
+/// `splitmix64(s + k * GOLDEN_GAMMA)` for `k = 0, 1, …` is the SplitMix64
+/// stream from state `s`.
+pub fn splitmix64(x: u64) -> u64 {
+    mix64(x.wrapping_add(GOLDEN_GAMMA))
+}
+
+/// SplitMix64's output finalizer: three xor-shift-multiply steps that
+/// spread every input bit over the whole word. A bijection on `u64`.
+pub fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)
