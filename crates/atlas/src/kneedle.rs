@@ -1,6 +1,6 @@
 //! Knee-point detection ("Kneedle", Satopää et al. 2011).
 //!
-//! The paper uses Kneedle to pick the allocation-count threshold that
+//! The paper uses Kneedle to pick the address-count threshold that
 //! separates frequently-readdressed probes from the rest: "We use a
 //! technique proposed by Satopää et al. to determine the knee point to be
 //! at eight addresses" (§3.2, Figure 2).
@@ -130,10 +130,10 @@ pub fn find_knee(points: &[(f64, f64)], sensitivity: f64) -> Option<Knee> {
     })
 }
 
-/// Convenience for the Figure 2 use-case: per-probe allocation counts. The
-/// counts are sorted descending (as in the paper's plot), and the knee is
-/// reported as the *count value* at the knee (the paper's "eight
-/// addresses").
+/// Convenience for the Figure 2 use-case: per-probe counts of distinct
+/// allocated addresses. The counts are sorted descending (as in the
+/// paper's plot), and the knee is reported as the *count value* at the
+/// knee (the paper's "eight addresses").
 ///
 /// Figure 2 plots the counts on a log axis, and that is the curve whose
 /// knee the paper takes; we therefore run Kneedle on `log10(count)` (knees
@@ -142,7 +142,7 @@ pub fn find_knee(points: &[(f64, f64)], sensitivity: f64) -> Option<Knee> {
 /// changed address (59% in the paper) form a flat unit plateau whose corner
 /// would always win; the paper distinguishes them from the "remaining 27%
 /// \[that\] go through multiple address changes" before taking the knee, so
-/// the knee is computed over multi-allocation probes only.
+/// the knee is computed over multi-address probes only.
 pub fn allocation_count_knee(counts: &[u32], sensitivity: f64) -> Option<u32> {
     let mut sorted: Vec<u32> = counts.iter().copied().filter(|&c| c >= 2).collect();
     if sorted.is_empty() {

@@ -9,7 +9,7 @@
 //!   multi-AS movers);
 //! * [`kneedle`] — knee-point detection (Satopää et al. 2011), used to set
 //!   the frequent-changer threshold (the paper's knee of 8);
-//! * [`pipeline`] — the staged filter (same-AS → ≥knee allocations → daily
+//! * [`pipeline`] — the staged filter (same-AS → ≥knee addresses → daily
 //!   changers → /24 expansion) yielding dynamically allocated prefixes.
 //!
 //! The pipeline consumes only the log plus an IP→AS resolver, so it would

@@ -7,8 +7,9 @@
 //!    prefixes"; the paper had 90.5K of them).
 //! 1. **Same-AS** — discard probes whose addresses span multiple ASes
 //!    (relocated devices; 13.1% in the paper).
-//! 2. **Frequent** — keep probes with at least *knee* allocations, the knee
-//!    found by Kneedle on the sorted allocation-count curve (paper: 8).
+//! 2. **Frequent** — keep probes that held at least *knee* distinct
+//!    addresses, the knee found by Kneedle on the sorted "addresses
+//!    allocated per probe" curve (paper: 8).
 //! 3. **Daily** — keep probes whose mean time between changes is within
 //!    one day; their covering /24s are the dynamically allocated prefixes.
 
@@ -28,7 +29,7 @@ const KNEE_SENSITIVITY: f64 = 1.0;
 /// ablation experiments.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
-    /// Override the knee with a fixed allocation-count threshold
+    /// Override the knee with a fixed address-count threshold
     /// (`ablation_knee` sweeps this).
     pub knee_override: Option<u32>,
     /// Maximum mean inter-change duration for the final stage
@@ -59,14 +60,17 @@ impl Default for PipelineConfig {
 #[derive(Debug, Clone)]
 pub struct ProbeSummary {
     pub probe: ProbeId,
-    /// Distinct consecutive allocations (≥ 1).
+    /// Distinct addresses allocated to the probe (≥ 1), the quantity
+    /// Figure 2 plots: a probe that returns to an address it held before
+    /// counts it once.
     pub allocation_count: u32,
     /// ASes the probe's addresses map into (unmapped addresses count as a
     /// pseudo-AS each, making the probe multi-AS — conservative).
     pub as_count: u32,
     /// Mean time between address changes, when the probe changed at all.
     pub mean_interchange: Option<SimDuration>,
-    /// Every address the probe held.
+    /// The address of every allocation, in order: an address the probe
+    /// returns to appears again.
     pub addresses: Vec<Ipv4Addr>,
 }
 
@@ -109,7 +113,7 @@ pub struct DynamicDetection {
     pub all: StageSet,
     /// Stage 1: single-AS probes.
     pub same_as: StageSet,
-    /// Stage 2: ≥ knee allocations.
+    /// Stage 2: ≥ knee addresses.
     pub frequent: StageSet,
     /// Stage 3 (final): daily changers.
     pub daily: StageSet,
@@ -135,7 +139,7 @@ impl DynamicDetection {
     /// Publish the detection funnel under `atlas.*`: per-stage survivors
     /// (gauges), per-stage drops (counters, so the funnel is auditable as
     /// kept + dropped = previous stage), the knee, and an
-    /// allocations-per-probe histogram.
+    /// addresses-per-probe histogram.
     pub fn record_obs(&self, obs: &ar_obs::Obs) {
         if !obs.enabled() {
             return;
@@ -205,7 +209,7 @@ pub fn detect_dynamic(
     let same_as: Vec<&ProbeSummary> = summaries.iter().filter(|s| s.as_count <= 1).collect();
     let same_as_set = StageSet::from_probes(same_as.iter().copied());
 
-    // Knee on the same-AS population's allocation counts (the paper's
+    // Knee on the same-AS population's address counts (the paper's
     // Figure 2 curve).
     let counts: Vec<u32> = same_as.iter().map(|s| s.allocation_count).collect();
     let knee = config
@@ -274,12 +278,11 @@ pub fn summarize_threaded(
     let probes = log.probes();
     par::par_map(threads, &probes, |&probe| {
         let allocations = log.allocations_for(probe);
-        let mut ases: BTreeSet<Option<Asn>> = BTreeSet::new();
-        let mut addresses = Vec::with_capacity(allocations.len());
-        for (_, ip) in &allocations {
-            ases.insert(asn_of(*ip));
-            addresses.push(*ip);
-        }
+        let addresses: Vec<Ipv4Addr> = allocations.iter().map(|&(_, ip)| ip).collect();
+        // A probe cycling through a small pool returns to addresses it
+        // already held: Figure 2 counts each address once.
+        let distinct: BTreeSet<Ipv4Addr> = addresses.iter().copied().collect();
+        let ases: BTreeSet<Option<Asn>> = distinct.iter().map(|&ip| asn_of(ip)).collect();
         // Treat unmapped addresses conservatively: a None among Some's makes
         // the probe look multi-AS (we cannot vouch for single-AS-ness).
         let as_count = if ases.contains(&None) && !allocations.is_empty() {
@@ -290,7 +293,7 @@ pub fn summarize_threaded(
         let mean_interchange = mean_interchange(&allocations);
         ProbeSummary {
             probe,
-            allocation_count: allocations.len() as u32,
+            allocation_count: distinct.len() as u32,
             as_count,
             mean_interchange,
             addresses,
@@ -479,6 +482,35 @@ mod tests {
             !d.covers(Ipv4Addr::new(10, 6, 0, 254))
                 || d.dynamic_addresses.contains(&Ipv4Addr::new(10, 6, 0, 254))
         );
+    }
+
+    #[test]
+    fn allocation_count_is_distinct_addresses() {
+        // One single-AS probe flipping between two addresses every 12 h for
+        // 30 days: 60 allocations, but only 2 addresses.
+        let mut b = LogBuilder::new();
+        for i in 0..60u32 {
+            b.entries.push(ConnLogEntry {
+                probe: ProbeId(7),
+                time: SimTime(u64::from(i) * DAY / 2),
+                ip: Ipv4Addr::new(10, 5, 0, 1 + (i % 2) as u8),
+            });
+        }
+        let log = b.build();
+        assert_eq!(log.allocations_for(ProbeId(7)).len(), 60);
+        let config = PipelineConfig {
+            knee_override: Some(8),
+            ..PipelineConfig::default()
+        };
+        let d = detect_dynamic(&log, &config, asn_of);
+        assert_eq!(d.summaries[0].allocation_count, 2);
+        // The inter-change mean still reads the allocation sequence.
+        assert_eq!(
+            d.summaries[0].mean_interchange,
+            Some(SimDuration::from_hours(12))
+        );
+        assert_eq!(d.same_as.probes, vec![ProbeId(7)]);
+        assert!(d.frequent.probes.is_empty(), "2 addresses < knee 8");
     }
 
     #[test]

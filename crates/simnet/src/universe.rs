@@ -434,7 +434,7 @@ impl Generator {
         // Hold times follow a two-component mixture: a minority of pools
         // reallocate within a day (the population §3.2 ultimately targets),
         // the rest follow a broad lognormal from days to many months. The
-        // continuous spread matters: Figure 2's sorted allocation-count
+        // continuous spread matters: Figure 2's sorted addresses-per-probe
         // curve is smooth, and the Kneedle knee lands in single digits only
         // when intermediate churn rates exist.
         let mean_hold = if rng.gen_bool(profile.fast_dynamic_share) {
