@@ -437,6 +437,11 @@ impl ReputationServer {
                     }
                     match listener.accept() {
                         Ok((stream, _)) => {
+                            // Replies leave at once, shed or served: with
+                            // Nagle on, a reply written while the previous
+                            // one is unacknowledged (a pipelining peer)
+                            // waits for the peer's delayed ACK.
+                            let _ = stream.set_nodelay(true);
                             // Round-robin connection placement across the
                             // shard queues; a full queue sheds instead of
                             // blocking the acceptor.
@@ -946,6 +951,61 @@ mod tests {
             server.obs().report().events.len()
         };
         assert_eq!(events_after(200), events_after(2000));
+    }
+
+    /// No reply waits on a delayed ACK. With the length prefix and the
+    /// payload in two writes, Nagle's algorithm held every payload until
+    /// the peer's delayed ACK, so each sequential query took about 90 ms.
+    /// Without `TCP_NODELAY` on the accepted stream, a pipelining peer's
+    /// second reply waited for the peer's delayed ACK of the first. Either
+    /// stall puts its loop far past the 2 s budget.
+    #[test]
+    fn loopback_replies_never_wait_for_a_delayed_ack() {
+        use std::io::Write;
+        let server = ReputationServer::new(small_snapshot(1), 2, Obs::new());
+        let handle = server
+            .serve(TcpListener::bind("127.0.0.1:0").expect("bind loopback"))
+            .expect("serve");
+        let budget = Duration::from_secs(2);
+        let ips: Vec<u32> = (0..200u32).map(|i| i * 7).collect();
+
+        // Part one: 200 sequential queries from the plain client.
+        let mut client = crate::Client::connect(handle.addr()).expect("connect");
+        let started = Instant::now();
+        for &ip in &ips {
+            let answer = client.query(&[ip]).expect("query");
+            assert_eq!(answer, [server.verdict(ip)], "ip {ip}");
+        }
+        let sequential = started.elapsed();
+        drop(client);
+        assert!(
+            sequential < budget,
+            "200 sequential queries took {sequential:?}"
+        );
+
+        // Part two: 100 rounds of two single-address frames written
+        // together, as a pipelining load generator writes them.
+        let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        let started = Instant::now();
+        for pair in ips.chunks(2) {
+            let mut frames = Vec::new();
+            for &ip in pair {
+                wire::write_frame(&mut frames, &wire::encode_query(&[ip])).expect("frame");
+            }
+            stream.write_all(&frames).expect("write both frames");
+            for &ip in pair {
+                let reply = wire::read_frame(&mut stream).expect("reply");
+                let answer = wire::decode_query_response(&reply).expect("decode");
+                assert_eq!(answer, [server.verdict(ip)], "ip {ip}");
+            }
+        }
+        let pipelined = started.elapsed();
+        assert!(
+            pipelined < budget,
+            "100 rounds of two pipelined frames took {pipelined:?}"
+        );
+        handle.shutdown();
     }
 
     #[test]

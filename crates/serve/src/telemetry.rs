@@ -247,10 +247,17 @@ impl StatsFrame {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// One-line rendering for the CLI watch loop and smoke logs.
+    /// One-line rendering for the CLI watch loop and smoke logs. It shows
+    /// the newest closed window, which holds a whole window's counts; the
+    /// open window holds only what arrived since it opened, so it is shown
+    /// only while no window has closed.
     pub fn render(&self) -> String {
         let depths: Vec<String> = self.queue_depths.iter().map(|d| d.to_string()).collect();
-        let last = self.windows.last();
+        let last = match self.windows.as_slice() {
+            [.., newest_closed, _open] => Some(newest_closed),
+            [open] => Some(open),
+            [] => None,
+        };
         format!(
             "tick {} gen {} {} | q=[{}] | window {}: {} queries, {} shed | slo {} ({} breaches, {} windows) | {} traces (digest {:016x})",
             self.tick,
@@ -582,6 +589,28 @@ mod tests {
         served(&t, &obs, &health, 8 * TICKS_PER_WINDOW);
         assert_eq!(indices(&t), [0, 1, 9]);
         assert_eq!(frame(&t).windows[1].batch_sum, 8 * TICKS_PER_WINDOW);
+    }
+
+    #[test]
+    fn render_shows_the_newest_closed_window() {
+        let (t, obs, health) = telemetry();
+        let shown = |t: &Telemetry| {
+            let line = frame(t).render();
+            let start = line.find("| window ").expect("window field");
+            let end = line.find(" | slo ").expect("slo field");
+            line[start + 2..end].to_string()
+        };
+        // No window has closed yet: the open one is all there is.
+        served(&t, &obs, &health, 1000);
+        assert_eq!(shown(&t), "window 0: 1000 queries, 0 shed");
+        // The selftest's shape: the second batch counts whole in window 0
+        // and closes it, leaving window 1 open and empty.
+        served(&t, &obs, &health, 1000);
+        assert_eq!(shown(&t), "window 0: 2000 queries, 0 shed");
+        t.on_shed(&obs, &health, 0);
+        assert_eq!(shown(&t), "window 0: 2000 queries, 0 shed");
+        served(&t, &obs, &health, 100);
+        assert_eq!(shown(&t), "window 1: 100 queries, 1 shed");
     }
 
     #[test]

@@ -95,13 +95,20 @@ pub enum Request {
     Stats,
 }
 
-/// Write one `len:u32be` + payload frame.
+/// Write one `len:u32be` + payload frame with a single `write_all`.
+///
+/// Two writes (prefix, then payload) would be a write-write-read pattern:
+/// Nagle's algorithm holds the payload until the peer ACKs the prefix, and
+/// the peer delays that ACK waiting for data of its own, so every frame
+/// would stall for a delayed-ACK timeout.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> {
     if payload.len() as u64 > u64::from(MAX_FRAME) {
         return Err(WireError::TooLarge(payload.len() as u32));
     }
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -574,10 +581,32 @@ mod tests {
 
     #[test]
     fn frames_round_trip_and_cap_length() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello").unwrap();
-        let mut cursor = &buf[..];
+        /// Counts `write` calls, so the test sees how a frame is handed to
+        /// the socket, not only which bytes it carries.
+        #[derive(Default)]
+        struct CountingWriter {
+            bytes: Vec<u8>,
+            writes: usize,
+        }
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+
+        let mut out = CountingWriter::default();
+        write_frame(&mut out, b"hello").unwrap();
+        assert_eq!(out.writes, 1, "a frame must leave in one write");
+        write_frame(&mut out, b"").unwrap();
+        assert_eq!(out.writes, 2, "an empty frame is one write too");
+        let mut cursor = &out.bytes[..];
         assert_eq!(read_frame(&mut cursor).unwrap(), b"hello");
+        assert_eq!(read_frame(&mut cursor).unwrap(), b"");
         assert!(matches!(read_frame(&mut cursor), Err(WireError::Closed)));
 
         let mut oversized = Vec::new();
