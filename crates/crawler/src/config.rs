@@ -97,7 +97,10 @@ pub struct CrawlConfig {
     /// response rate falls below 20% (probing dead space annoys networks
     /// for nothing — the paper throttled after its "ping replies generated
     /// tremendous amount of incoming traffic"), and recover by 10% per
-    /// healthy hour up to `rate_per_sec`.
+    /// healthy hour up to `rate_per_sec`. The controller reacts to
+    /// discovery's own response rate, `get_nodes` replies per `get_nodes`
+    /// sent in the hour; the verification cadence stretches by the same
+    /// factor.
     pub adaptive_rate: bool,
     /// Message-log retention: keep the first `log_head` and the most
     /// recent `log_tail` message records (0/0 keeps counters only —

@@ -260,6 +260,11 @@ impl CrawlReport {
     }
 }
 
+/// The 64-bit digest a crawl keeps of each node id it observes.
+fn node_id_digest(id: NodeId) -> u64 {
+    ar_simnet::fnv::fnv1a64(id.as_bytes())
+}
+
 /// Version bytes from a reply envelope, when it carries exactly four.
 fn version_bytes(msg: &Message) -> Option<[u8; 4]> {
     msg.version
@@ -359,6 +364,19 @@ pub(crate) struct Engine<'c> {
     live_endpoints: BTreeMap<SocketAddrV4, SimTime>,
     /// Verification candidates (sorted for determinism).
     multiport: BTreeSet<Ipv4Addr>,
+    /// The candidates a verification round evaluates: `multiport` minus
+    /// those found with fewer than two fresh ports, each of which wakes on
+    /// its next sighting. Exact because a port becomes fresh only through
+    /// a sighting, and between sightings a port's age only grows, so a
+    /// sleeping candidate would send nothing. Derived state: a restored
+    /// crawl wakes every candidate.
+    awake: BTreeSet<Ipv4Addr>,
+    /// Last contact time of every IP contacted within `per_ip_cooldown`:
+    /// the only IPs [`Self::cooled_down`] can refuse. Pruned at the top of
+    /// each hour; exact because hourly times never go down, so an IP
+    /// pruned at `now` has `now − last ≥ cooldown` at every later send.
+    /// Derived state: a restored crawl rebuilds it from `last_contact`.
+    cooling: BTreeMap<Ipv4Addr, SimTime>,
     /// 64-bit digests of observed node_ids.
     node_id_digests: HashSet<u64>,
     stats: CrawlStats,
@@ -385,6 +403,8 @@ impl<'c> Engine<'c> {
             enqueued: HashSet::new(),
             live_endpoints: BTreeMap::new(),
             multiport: BTreeSet::new(),
+            awake: BTreeSet::new(),
+            cooling: BTreeMap::new(),
             node_id_digests: HashSet::new(),
             stats: CrawlStats::default(),
             self_id: NodeId::from_ip_and_nonce(Ipv4Addr::new(127, 0, 0, 1), 0xC4A3),
@@ -459,11 +479,15 @@ impl<'c> Engine<'c> {
     /// recrawl scheduling. The unit the driver steps every partition
     /// through in lockstep.
     pub(crate) fn step_hour<N: KrpcTransport>(&mut self, net: &mut N, now: SimTime) {
+        self.cooling
+            .retain(|_, last| now.saturating_sub(*last) < self.config.per_ip_cooldown);
         if !self.config.disable_ping_verification && now >= self.next_ping_round {
             self.ping_round(net, now);
             // Under adaptive backoff the verification cadence stretches
             // with the same factor — pings are the bulk of the traffic
-            // the paper's network admins objected to.
+            // the paper's network admins objected to — though the
+            // controller reacts to discovery's own response rate: this
+            // round has run before `discover` takes its snapshot.
             let backoff = if self.config.adaptive_rate {
                 (f64::from(self.config.rate_per_sec) / self.effective_rate).clamp(1.0, 24.0)
             } else {
@@ -503,12 +527,19 @@ impl<'c> Engine<'c> {
     /// Partition 0 of 1 restored from `cp`: checkpointed crawls run one
     /// partition.
     pub(crate) fn from_checkpoint(config: &'c CrawlConfig, cp: CrawlCheckpoint) -> Self {
+        let multiport: BTreeSet<Ipv4Addr> = cp.multiport.into_iter().collect();
         Engine {
+            cooling: cp
+                .observations
+                .iter()
+                .filter_map(|(ip, o)| Some((*ip, o.last_contact?)))
+                .collect(),
             observations: cp.observations,
             frontier: cp.frontier.into(),
             enqueued: cp.enqueued.into_iter().collect(),
             live_endpoints: cp.live_endpoints.into_iter().collect(),
-            multiport: cp.multiport.into_iter().collect(),
+            awake: multiport.clone(),
+            multiport,
             node_id_digests: cp.node_id_digests.into_iter().collect(),
             stats: cp.stats,
             tx_counter: cp.tx_counter,
@@ -561,20 +592,16 @@ impl<'c> Engine<'c> {
         }
     }
 
-    fn next_tx(&mut self) -> [u8; 4] {
-        self.tx_counter += 1;
-        (self.tx_counter as u32).to_be_bytes()
+    /// The next transaction id from `counter`.
+    fn next_tx(counter: &mut u64) -> [u8; 4] {
+        *counter += 1;
+        (*counter as u32).to_be_bytes()
     }
 
     fn enqueue(&mut self, ep: SocketAddrV4) {
         if self.config.scope.contains(*ep.ip()) && self.enqueued.insert(ep) {
             self.frontier.push_back(ep);
         }
-    }
-
-    fn digest_node_id(&mut self, id: NodeId) {
-        self.node_id_digests
-            .insert(ar_simnet::fnv::fnv1a64(id.as_bytes()));
     }
 
     fn record(&mut self, ip: Ipv4Addr, port: u16, id: NodeId, t: SimTime, sighting: Sighting) {
@@ -594,19 +621,21 @@ impl<'c> Engine<'c> {
         obs.record_with_version(port, id, t, sighting, version);
         if obs.is_multiport() && self.config.scope.contains(ip) {
             self.multiport.insert(ip);
+            self.awake.insert(ip);
         }
-        self.digest_node_id(id);
+        self.node_id_digests.insert(node_id_digest(id));
     }
 
     fn cooled_down(&self, ip: Ipv4Addr, now: SimTime) -> bool {
-        match self.observations.get(&ip).and_then(|o| o.last_contact) {
-            Some(last) => now.saturating_sub(last) >= self.config.per_ip_cooldown,
+        match self.cooling.get(&ip) {
+            Some(last) => now.saturating_sub(*last) >= self.config.per_ip_cooldown,
             None => true,
         }
     }
 
     fn touch(&mut self, ip: Ipv4Addr, now: SimTime) {
         self.observations.entry(ip).or_default().last_contact = Some(now);
+        self.cooling.insert(ip, now);
     }
 
     /// One hour of discovery traffic (all vantage points combined: each
@@ -619,7 +648,7 @@ impl<'c> Engine<'c> {
         // the aggregate send rate is the same at every partition count.
         let count = self.count as u64;
         let budget = total_budget / count + u64::from((self.id as u64) < total_budget % count);
-        let sent_before = self.stats.get_nodes_sent + self.stats.pings_sent;
+        let sent_before = self.stats.get_nodes_sent;
         let replies_before = self.stats.replies_received;
         let mut sent: u64 = 0;
         let mut deferred: Vec<SocketAddrV4> = Vec::new();
@@ -649,7 +678,7 @@ impl<'c> Engine<'c> {
                 kind: MessageKind::GetNodes,
                 endpoint: ep,
             });
-            let tx = self.next_tx();
+            let tx = Self::next_tx(&mut self.tx_counter);
             let msg = Message::query(
                 tx,
                 Query::FindNode {
@@ -704,9 +733,11 @@ impl<'c> Engine<'c> {
             self.frontier.push_back(ep);
         }
 
-        // AIMD politeness: back off hard on dead air, recover slowly.
+        // AIMD politeness: back off hard on dead air, recover slowly. The
+        // hour's verification round ran before `sent_before` was taken, so
+        // the rate reacts to discovery's own response rate.
         if self.config.adaptive_rate {
-            let sent_hour = (self.stats.get_nodes_sent + self.stats.pings_sent) - sent_before;
+            let sent_hour = self.stats.get_nodes_sent - sent_before;
             let replies_hour = self.stats.replies_received - replies_before;
             if sent_hour >= 50 {
                 let response = replies_hour as f64 / sent_hour as f64;
@@ -721,34 +752,54 @@ impl<'c> Engine<'c> {
         }
     }
 
-    /// Hourly bt_ping verification of every multiport candidate.
+    /// Hourly bt_ping verification of every awake multiport candidate.
     fn ping_round<N: KrpcTransport>(&mut self, net: &mut N, now: SimTime) {
         self.stats.ping_rounds += 1;
         let candidates: Vec<Ipv4Addr> = self
-            .multiport
+            .awake
             .iter()
             .copied()
             .filter(|ip| self.cooled_down(*ip, now))
             .collect();
+        let Engine {
+            config,
+            observations,
+            awake,
+            cooling,
+            node_id_digests,
+            stats,
+            self_id,
+            tx_counter,
+            log,
+            ..
+        } = self;
+        // Reused across candidates.
+        let mut fresh: Vec<(SimTime, u16)> = Vec::new();
+        let mut responders: Vec<(u16, NodeId)> = Vec::new();
         for ip in candidates {
+            let obs = observations
+                .get_mut(&ip)
+                .expect("candidate has observations");
             // Ping only freshly-sighted ports (newest first, capped): dead
             // ports from old reboot eras waste probes and cannot answer.
-            let obs = &self.observations[&ip];
-            let mut fresh: Vec<(SimTime, u16)> = obs
-                .ports
-                .iter()
-                .filter(|(_, rec)| now.saturating_sub(rec.last_seen) <= PORT_STALE_AFTER)
-                .map(|(port, rec)| (rec.last_seen, *port))
-                .collect();
+            fresh.clear();
+            fresh.extend(
+                obs.ports
+                    .iter()
+                    .filter(|(_, rec)| now.saturating_sub(rec.last_seen) <= PORT_STALE_AFTER)
+                    .map(|(port, rec)| (rec.last_seen, *port)),
+            );
+            if fresh.len() < 2 {
+                // Nothing verifiable until a sighting refreshes a port.
+                awake.remove(&ip);
+                continue;
+            }
             fresh.sort_unstable_by(|a, b| b.cmp(a));
             fresh.truncate(MAX_PORTS_PER_IP);
-            let ports: Vec<u16> = fresh.into_iter().map(|(_, p)| p).collect();
-            if ports.len() < 2 {
-                continue; // nothing verifiable this round
-            }
-            let mut responders: Vec<(u16, NodeId)> = Vec::new();
-            self.touch(ip, now);
-            for port in ports {
+            responders.clear();
+            obs.last_contact = Some(now);
+            cooling.insert(ip, now);
+            for &(_, port) in &fresh {
                 let endpoint = SocketAddrV4::new(ip, port);
                 // Retry-with-exponential-backoff: attempt 0 is the normal
                 // ping; with `ping_retry` enabled, unanswered pings are
@@ -757,30 +808,30 @@ impl<'c> Engine<'c> {
                 // policy this loop body executes exactly once, preserving
                 // the retry-free engine's behaviour bit for bit.
                 let deadline = (now + RETRY_DEADLINE)
-                    .min(self.config.window.end)
-                    .min(now + self.config.ping_round_every);
+                    .min(config.window.end)
+                    .min(now + config.ping_round_every);
                 let mut send_at = now;
                 let mut delay = RETRY_BACKOFF;
-                for attempt in 0..=self.config.ping_retry.max_retries {
-                    self.stats.pings_sent += 1;
+                for attempt in 0..=config.ping_retry.max_retries {
+                    stats.pings_sent += 1;
                     if attempt > 0 {
-                        self.stats.ping_retries += 1;
+                        stats.ping_retries += 1;
                     }
-                    self.log.push(MessageRecord {
+                    log.push(MessageRecord {
                         time: send_at,
                         direction: Direction::Sent,
                         kind: MessageKind::BtPing,
                         endpoint,
                     });
-                    let tx = self.next_tx();
-                    let msg = Message::query(tx, Query::Ping { id: self.self_id });
+                    let tx = Self::next_tx(tx_counter);
+                    let msg = Message::query(tx, Query::Ping { id: *self_id });
                     if let Some(delivered) = net.query(send_at, endpoint, &msg) {
-                        self.stats.replies_received += 1;
-                        self.stats.ping_replies += 1;
+                        stats.replies_received += 1;
+                        stats.ping_replies += 1;
                         if attempt > 0 {
-                            self.stats.pings_recovered += 1;
+                            stats.pings_recovered += 1;
                         }
-                        self.log.push(MessageRecord {
+                        log.push(MessageRecord {
                             time: delivered.at,
                             direction: Direction::Received,
                             kind: MessageKind::Reply,
@@ -790,14 +841,17 @@ impl<'c> Engine<'c> {
                         if let MessageBody::Response(r) = delivered.message.body {
                             if let Some(id) = r.id {
                                 responders.push((port, id));
-                                self.record_with_version(
-                                    ip,
+                                // The candidate is already multiport, in
+                                // scope and awake: besides the sighting, a
+                                // reply adds only its node-id digest.
+                                obs.record_with_version(
                                     port,
                                     id,
                                     delivered.at,
                                     Sighting::Responded,
                                     version,
                                 );
+                                node_id_digests.insert(node_id_digest(id));
                             }
                         }
                         break;
@@ -810,10 +864,7 @@ impl<'c> Engine<'c> {
                     delay = delay.mul(2);
                 }
             }
-            self.observations
-                .get_mut(&ip)
-                .expect("candidate has observations")
-                .apply_round(now, &responders);
+            obs.apply_round(now, &responders);
         }
     }
 

@@ -60,7 +60,9 @@ const VERSIONS: [[u8; 4]; 5] = [
 pub struct DhtPopulation<'u> {
     universe: &'u Universe,
     alloc: &'u AllocationPlan,
-    seed: Seed,
+    /// The population seed forked by the session hash's label, once:
+    /// [`hash`](Self::hash) runs on every session computation.
+    hash_seed: Seed,
     /// All hosts running BitTorrent, in stable order.
     bt_hosts: Vec<HostId>,
     /// Static BT hosts by their fixed address.
@@ -81,7 +83,7 @@ impl<'u> DhtPopulation<'u> {
         DhtPopulation {
             universe,
             alloc,
-            seed: universe.seed.fork("dht-pop"),
+            hash_seed: universe.seed.fork("dht-pop").fork("h"),
             bt_hosts,
             static_by_ip,
             window: alloc.window,
@@ -99,7 +101,7 @@ impl<'u> DhtPopulation<'u> {
     // ---- pure session model -------------------------------------------------
 
     fn hash(&self, host: HostId, label: u64) -> u64 {
-        self.seed.fork_idx("h", (u64::from(host.0) << 24) ^ label).0
+        self.hash_seed.child((u64::from(host.0) << 24) ^ label).0
     }
 
     fn epoch_len_secs(&self, host: HostId) -> u64 {
@@ -155,23 +157,39 @@ impl<'u> DhtPopulation<'u> {
         }
     }
 
+    /// The reboot era the host is in at `t`: `None` when its epoch is
+    /// offline.
+    fn era_at(&self, host: HostId, t: SimTime) -> Option<u64> {
+        let epoch = self.epoch_of(host, t);
+        self.online_in_epoch(host, epoch)
+            .then(|| self.era_of(host, epoch))
+    }
+
+    /// The session of a host online at `t` in `era`, listening on `port`
+    /// (the era's [`port_in_era`](Self::port_in_era)).
+    fn session_in_era(&self, host: HostId, t: SimTime, era: u64, port: u16) -> NodeSession {
+        NodeSession {
+            node_id: NodeId::from_ip_and_nonce(
+                self.id_seed_ip(host, t),
+                self.hash(host, 0x1D00 ^ era),
+            ),
+            port,
+            version: VERSIONS[(self.hash(host, 0x5EC7) % VERSIONS.len() as u64) as usize],
+        }
+    }
+
     /// The host's session at `t`: `None` when offline (or, for dynamic
     /// subscribers, unallocated).
     pub fn session(&self, host: HostId, t: SimTime) -> Option<NodeSession> {
-        let epoch = self.epoch_of(host, t);
-        if !self.online_in_epoch(host, epoch) {
-            return None;
-        }
-        let era = self.era_of(host, epoch);
-        let node_id =
-            NodeId::from_ip_and_nonce(self.id_seed_ip(host, t), self.hash(host, 0x1D00 ^ era));
-        let port = self.port_in_era(host, era);
-        let version = VERSIONS[(self.hash(host, 0x5EC7) % VERSIONS.len() as u64) as usize];
-        Some(NodeSession {
-            node_id,
-            port,
-            version,
-        })
+        let era = self.era_at(host, t)?;
+        Some(self.session_in_era(host, t, era, self.port_in_era(host, era)))
+    }
+
+    /// The host's session at `t` if it listens on `port` then. The node id
+    /// and version are derived only for a host whose port matches.
+    fn session_on_port(&self, host: HostId, t: SimTime, port: u16) -> Option<NodeSession> {
+        let era = self.era_at(host, t)?;
+        (self.port_in_era(host, era) == port).then(|| self.session_in_era(host, t, era, port))
     }
 
     fn port_in_era(&self, host: HostId, era: u64) -> u16 {
@@ -192,43 +210,38 @@ impl<'u> DhtPopulation<'u> {
 
     /// The host's public endpoint at `t` (`None` when offline/unallocated).
     pub fn endpoint(&self, host: HostId, t: SimTime) -> Option<SocketAddrV4> {
-        let session = self.session(host, t)?;
+        let era = self.era_at(host, t)?;
         let ip = self.alloc.public_ip(self.universe, host, t)?;
-        Some(SocketAddrV4::new(ip, session.port))
+        Some(SocketAddrV4::new(ip, self.port_in_era(host, era)))
     }
 
-    /// Who (if anyone) receives a datagram sent to `addr` at time `t`.
+    /// Who (if anyone) receives a datagram sent to `addr` at time `t`, and
+    /// the session that answers it.
     ///
     /// This is the inverse of [`endpoint`](Self::endpoint) and encodes the
     /// NAT demultiplexing: a gateway forwards a datagram only to the user
     /// whose *current* binding matches the destination port — stale ports
     /// go nowhere, which is what the crawler's verification exploits.
-    pub fn resolve(&self, addr: SocketAddrV4, t: SimTime) -> Option<HostId> {
+    pub fn resolve(&self, addr: SocketAddrV4, t: SimTime) -> Option<(HostId, NodeSession)> {
         let ip = *addr.ip();
+        let port = addr.port();
+        let on_port = |host: HostId| Some((host, self.session_on_port(host, t, port)?));
         if let Some(&host) = self.static_by_ip.get(&ip) {
-            let s = self.session(host, t)?;
-            return (s.port == addr.port()).then_some(host);
+            return on_port(host);
         }
         if let Some(gateway) = self.universe.nat_at(ip) {
-            for &user in &gateway.users {
-                if !self.universe.host(user).behavior.bittorrent {
-                    continue;
-                }
-                if let Some(s) = self.session(user, t) {
-                    if s.port == addr.port() {
-                        return Some(user);
-                    }
-                }
-            }
-            return None;
+            return gateway
+                .users
+                .iter()
+                .filter(|&&user| self.universe.host(user).behavior.bittorrent)
+                .find_map(|&user| on_port(user));
         }
         // Dynamic space: only the current holder answers.
         let holder = self.alloc.holder_of(ip, t)?;
         if !self.universe.host(holder).behavior.bittorrent {
             return None;
         }
-        let s = self.session(holder, t)?;
-        (s.port == addr.port()).then_some(holder)
+        on_port(holder)
     }
 
     /// Sample up to `n` neighbour entries as a `find_node` response would
@@ -323,7 +336,7 @@ mod tests {
         for &h in pop.bt_hosts() {
             if let Some(ep) = pop.endpoint(h, mid()) {
                 checked += 1;
-                let got = pop.resolve(ep, mid());
+                let got = pop.resolve(ep, mid()).map(|(host, _)| host);
                 // NAT users may share... never a port, so resolution must be
                 // exact; dynamic/static likewise.
                 if got == Some(h) {

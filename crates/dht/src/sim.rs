@@ -128,7 +128,7 @@ fn fabric_query(
         return None;
     }
     let arrive = now + sample_latency(rng, params);
-    let Some(responder) = pop.resolve(dst, arrive) else {
+    let Some((_, session)) = pop.resolve(dst, arrive) else {
         stats.no_listener += 1;
         return None;
     };
@@ -136,9 +136,6 @@ fn fabric_query(
         stats.not_responding += 1;
         return None;
     }
-    let session = pop
-        .session(responder, arrive)
-        .expect("resolved hosts are online");
     let response = match query {
         Query::Ping { .. } => Response::pong(session.node_id),
         Query::FindNode { .. } => {

@@ -36,7 +36,15 @@ impl Seed {
 
     /// Derive a child seed by index (e.g. per-host).
     pub fn fork_idx(self, label: &str, idx: u64) -> Seed {
-        Seed(splitmix64(self.fork(label).0 ^ splitmix64(idx)))
+        self.fork(label).child(idx)
+    }
+
+    /// The index step of [`fork_idx`](Self::fork_idx) on its own:
+    /// `s.fork_idx(label, idx) == s.fork(label).child(idx)`. A caller that
+    /// derives many indexed seeds under one label forks the label once and
+    /// calls this.
+    pub fn child(self, idx: u64) -> Seed {
+        Seed(splitmix64(self.0 ^ splitmix64(idx)))
     }
 
     /// Build the RNG for this seed.
@@ -336,11 +344,13 @@ mod tests {
     }
 
     /// Golden values captured before `fork` moved onto the shared
-    /// [`FnvHasher`]: every seeded subsystem replays these exact streams.
+    /// [`FnvHasher`], and a `fork_idx` value captured before it moved onto
+    /// [`Seed::child`]: every seeded subsystem replays these exact streams.
     #[test]
     fn fork_values_are_pinned() {
         assert_eq!(Seed(1).fork("dht"), Seed(0xf705_3b25_b709_57d0));
         assert_eq!(Seed(2020).fork("serve-chaos"), Seed(0xda5c_935a_2590_65e8));
+        assert_eq!(Seed(1).fork_idx("dht", 7), Seed(0x57dd_c231_fa31_6d38));
     }
 
     #[test]

@@ -29,11 +29,13 @@ const CGN_FRACTION: f64 = 0.015;
 const CGN_MEDIAN_USERS: f64 = 18.0;
 /// Hard cap on users behind one NAT gateway.
 const NAT_MAX_USERS: u32 = 300;
-/// Mean address-hold time, in hours, for fast dynamic pools (≤ 1 day —
-/// the population §3.2's final filter is designed to catch).
-const FAST_HOLD_HOURS_MEAN: f64 = 10.0;
-/// Mean address-hold time, in days, for slow dynamic pools.
-const SLOW_HOLD_DAYS_MEAN: f64 = 60.0;
+/// Median, across fast dynamic pools (≤ 1 day — the population §3.2's
+/// final filter is designed to catch), of a pool's mean address-hold time
+/// in hours; each pool's mean is drawn log-normally with σ 0.8.
+const FAST_HOLD_HOURS_MEDIAN: f64 = 10.0;
+/// Median, across slow dynamic pools, of a pool's mean address-hold time
+/// in days; each pool's mean is drawn log-normally with σ 1.1.
+const SLOW_HOLD_DAYS_MEDIAN: f64 = 60.0;
 /// Fraction of hosts that relocate to a different AS mid-window (the
 /// 13.1% of probes the paper excludes).
 const MULTI_AS_MOVER_RATE: f64 = 0.131;
@@ -438,10 +440,10 @@ impl Generator {
         // curve is smooth, and the Kneedle knee lands in single digits only
         // when intermediate churn rates exist.
         let mean_hold = if rng.gen_bool(profile.fast_dynamic_share) {
-            let h = stats::sample_lognormal(rng, FAST_HOLD_HOURS_MEAN, 0.8).clamp(4.0, 23.9);
+            let h = stats::sample_lognormal(rng, FAST_HOLD_HOURS_MEDIAN, 0.8).clamp(4.0, 23.9);
             SimDuration::from_secs((h * 3600.0) as u64)
         } else {
-            let d = stats::sample_lognormal(rng, SLOW_HOLD_DAYS_MEAN, 1.1).clamp(1.05, 300.0);
+            let d = stats::sample_lognormal(rng, SLOW_HOLD_DAYS_MEDIAN, 1.1).clamp(1.05, 300.0);
             SimDuration::from_secs((d * 86_400.0) as u64)
         };
         let fast = mean_hold <= SimDuration::from_days(1);

@@ -166,7 +166,8 @@ fn sharded_crawl_is_worker_count_invariant() {
     // 8-shard crawl run on {1, 2, 3, 8, 16} workers (3 does not divide the
     // partitions evenly; 16 is more workers than partitions) and repeated
     // at one count must serialize byte-identically; a different universe
-    // seed must not.
+    // seed must not. The seed-42 bytes are also pinned absolutely, so a
+    // change that moves every crawl the same way fails here too.
     use ar_crawler::{crawl_sharded, CrawlConfig};
     use ar_dht::{ShardedSimNetwork, SimParams};
 
@@ -189,6 +190,11 @@ fn sharded_crawl_is_worker_count_invariant() {
         "crawl must actually verify candidates"
     );
     assert!(stats.unique_ips > 0, "crawl must discover endpoints");
+    assert_eq!(
+        ar_simnet::fnv::fnv1a64(&baseline),
+        0xa4ae_7f5b_f768_17a1,
+        "seed-42 crawl bytes moved"
+    );
     for workers in [1, 2, 3, 8, 16] {
         let (again, _) = run(42, workers);
         assert_eq!(
